@@ -177,13 +177,6 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
         "'python -m repro.obs.aggregate DIR/*.jsonl')",
     )
     parser.add_argument(
-        "--queue", default=None, metavar="BACKEND",
-        help="event-queue backend: 'heap' (default), 'wheel', or "
-        "'wheel:WIDTH' with an explicit bucket width in seconds; "
-        "results are byte-identical per seed, only speed differs "
-        "($REPRO_QUEUE sets the ambient default)",
-    )
-    parser.add_argument(
         "--warm-start", default=None, metavar="STORE[@T]",
         help="fast-forward every run's warm-up through the snapshot "
         "store at STORE, branching at T simulated seconds (default 50); "
@@ -446,10 +439,6 @@ def _cmd_snapshot(argv: List[str]) -> int:
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes (atomic store writes make this safe)",
     )
-    parser.add_argument(
-        "--queue", default=None, metavar="BACKEND",
-        help="event-queue backend for the warming runs",
-    )
     _add_fault_options(parser)
     args = parser.parse_args(argv)
 
@@ -477,7 +466,6 @@ def _cmd_snapshot(argv: List[str]) -> int:
     try:
         profile = RunProfile(
             faults=schedule,
-            queue=args.queue,
             # Warm traced: the snapshot then carries the t<T records a
             # --digest or sanitized sweep needs, and warm_key treats
             # "traced however it was forced" as one key, so this store
@@ -597,11 +585,6 @@ def _cmd_sweep(argv: List[str]) -> int:
         "rematerializes full results from it)",
     )
     parser.add_argument(
-        "--queue", default=None, metavar="BACKEND",
-        help="event-queue backend: 'heap' (default), 'wheel', or "
-        "'wheel:WIDTH' (byte-identical results, different speed)",
-    )
-    parser.add_argument(
         "--no-digest", action="store_true",
         help="skip per-cell trace digests (faster; forfeits the "
         "resume byte-equality fingerprint)",
@@ -717,7 +700,7 @@ def _cmd_sweep(argv: List[str]) -> int:
                 seeds = _parse_seeds(args.seeds or "3", args.seed)
                 policy = FixedSeeds(seeds=tuple(seeds))
             schedule = _load_schedule(args.faults, args.chaos)
-            profile = RunProfile(faults=schedule, queue=args.queue)
+            profile = RunProfile(faults=schedule)
             spec = JobSpec(
                 experiments=tuple(exp_ids), policy=policy, profile=profile,
                 duration=args.duration, warmup=args.warmup,
@@ -907,7 +890,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         profile = RunProfile(
             metrics=metrics_interval if metrics_on else None,
             faults=schedule,
-            queue=args.queue,
             warm_start=warm_start,
         )
     except ValueError as exc:

@@ -277,13 +277,6 @@ class RunProfile:
     #: Fault schedule to inject (:mod:`repro.fault`); empty normalizes to
     #: None so a no-op schedule cannot perturb digests or cache keys.
     faults: Optional["FaultSchedule"] = None
-    #: Event-queue backend spec (``"heap"``, ``"wheel"``, ``"wheel:WIDTH"``);
-    #: None resolves through ``$REPRO_QUEUE`` (else the heap) *at
-    #: construction time*, so the stored field — and the digest — always
-    #: name a concrete backend.  Results are backend-independent by
-    #: contract, but the digest still distinguishes them so perf
-    #: comparisons never read each other's cache entries.
-    queue: Optional[str] = None
     #: Warm-start directive (:class:`WarmStart`); None runs cold from
     #: t=0.  Participates in :meth:`digest` so warm-started results can
     #: never collide with cold-run cache entries.
@@ -299,9 +292,6 @@ class RunProfile:
         object.__setattr__(self, "grid_kwargs", _normalize_grid_kwargs(self.grid_kwargs))
         object.__setattr__(self, "metrics", _normalize_metrics(self.metrics))
         object.__setattr__(self, "trace", bool(self.trace))
-        from repro.sim.queues import resolve_backend
-
-        object.__setattr__(self, "queue", resolve_backend(self.queue))
         if self.faults is not None:
             from repro.fault.schedule import FaultSchedule
 
@@ -368,7 +358,6 @@ class RunProfile:
                 "sanitize": self.sanitize,
                 "metrics": metrics_blob,
                 "faults": None if self.faults is None else self.faults.to_dict(),
-                "queue": self.queue,
                 # The store *path* is deliberately not digested: equal
                 # keyed builds produce byte-identical snapshots wherever
                 # they are stored.  The content digest (when the caller

@@ -2,17 +2,15 @@
 
 Measures the simulator machinery itself — bare kernel event throughput,
 a cancel-dominated timer workload, and three saturated MACAW cells —
-across every registered event-queue backend, and compares events/sec
-against the committed ``benchmarks/BENCH_engine.json``:
+and compares events/sec against the committed
+``benchmarks/BENCH_engine.json``:
 
-* ``python -m repro.runner.bench`` runs the benches on one backend
-  (``--queue``, default heap) and prints a table;
-* ``--write`` refreshes the baseline in place (run on a quiet machine):
-  every registered backend gets its own section under ``backends``, and
-  the heap numbers are mirrored into the legacy ``benchmarks`` block;
-* ``--check`` re-runs the matrix and fails (exit 1) when any bench on
-  any backend falls more than ``tolerance`` (default 25%) below its own
-  committed section — the CI regression gate.  The benches run with
+* ``python -m repro.runner.bench`` runs the benches and prints a table;
+* ``--write`` refreshes the ``benchmarks`` block of the baseline in place
+  (run on a quiet machine);
+* ``--check`` re-runs the benches and fails (exit 1) when any bench falls
+  more than ``tolerance`` (default 25%) below its committed row — the CI
+  regression gate.  The benches run with
   metrics off, so ``--check`` is also the metrics-off overhead gate.
 * ``--overhead`` times the six-pad cell with metrics off vs. on
   (1 s cadence) and verifies both runs fire identical event counts —
@@ -26,7 +24,7 @@ against the committed ``benchmarks/BENCH_engine.json``:
   reporting the cells and wall time the adaptive policy saved;
   ``--write`` folds the numbers into the baseline's ``sweep`` section —
   informational, never gated.
-* ``--profile FILE`` runs the single-backend table under cProfile and
+* ``--profile FILE`` runs the bench table under cProfile and
   dumps the stats to FILE (inspect with ``python -m pstats FILE``).
 
 Each bench row keeps the *best* wall time (least interrupted — the
@@ -53,7 +51,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.kernel import Simulator
-from repro.sim.queues import queue_names
 from repro.sim.timers import Timer
 
 #: Relative events/sec drop that fails ``--check`` (0.25 = 25% slower).
@@ -72,9 +69,9 @@ def default_baseline_path() -> Path:
 
 # --------------------------------------------------------------------- benches
 
-def _bench_kernel_chain(queue: Optional[str] = None) -> int:
+def _bench_kernel_chain() -> int:
     """Schedule-and-fire cost of the bare event loop (50k chained events)."""
-    sim = Simulator(queue=queue)
+    sim = Simulator()
 
     def chain(n: int) -> None:
         if n:
@@ -85,17 +82,16 @@ def _bench_kernel_chain(queue: Optional[str] = None) -> int:
     return sim.events_fired
 
 
-def _bench_timer_cancel(queue: Optional[str] = None) -> int:
+def _bench_timer_cancel() -> int:
     """Cancel-dominated churn: 10k far-horizon timers rearmed 40 times.
 
     The MACAW-shaped worst case for a heap: nearly every operation is a
     rearm of a live far-future timer, so the pending set stays large
     while dead entries pile up and every push pays a full-depth sift.
-    A wheel backend turns each rearm into an O(1) bucket append.  Fired
-    events are deliberately scarce — the returned count is the number of
-    *rearm operations*, which both backends perform identically.
+    Fired events are deliberately scarce — the returned count is the
+    number of *rearm operations*.
     """
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     timers = [Timer(sim, lambda: None) for _ in range(10_000)]
     ops = 0
 
@@ -112,34 +108,31 @@ def _bench_timer_cancel(queue: Optional[str] = None) -> int:
     return ops
 
 
-def _bench_single_stream(queue: Optional[str] = None) -> int:
+def _bench_single_stream() -> int:
     """One saturated MACAW stream, 100 s simulated."""
     from repro.topo.figures import single_stream_cell
 
     builder = single_stream_cell(protocol="macaw", seed=1)
-    builder.queue = queue
     return builder.build().run(100.0).sim.events_fired
 
 
-def _bench_six_pad(queue: Optional[str] = None) -> int:
+def _bench_six_pad() -> int:
     """The contended six-pad MACAW cell of Figure 3, 100 s simulated."""
     from repro.topo.figures import fig3_six_pads
 
     builder = fig3_six_pads(protocol="macaw", seed=1)
-    builder.queue = queue
     return builder.build().run(100.0).sim.events_fired
 
 
-def _bench_office_cell(queue: Optional[str] = None) -> int:
+def _bench_office_cell() -> int:
     """The large office cell of Figure 11 (Table 11 topology), 60 s simulated."""
     from repro.topo.figures import fig11_office
 
     builder = fig11_office(protocol="macaw", seed=1)
-    builder.queue = queue
     return builder.build().run(60.0).sim.events_fired
 
 
-BENCHES: List[Tuple[str, Callable[[Optional[str]], int]]] = [
+BENCHES: List[Tuple[str, Callable[[], int]]] = [
     ("kernel_chain", _bench_kernel_chain),
     ("timer_cancel", _bench_timer_cancel),
     ("single_stream_cell", _bench_single_stream),
@@ -170,21 +163,9 @@ def _timed_rows(
     return results
 
 
-def run_benches(
-    repeats: int = DEFAULT_REPEATS, queue: Optional[str] = None
-) -> Dict[str, Dict[str, float]]:
-    """Run every bench on one backend; keep each bench's best wall time."""
-    return _timed_rows(
-        [(name, lambda fn=fn: fn(queue)) for name, fn in BENCHES], repeats
-    )
-
-
-def run_bench_matrix(
-    repeats: int = DEFAULT_REPEATS, backends: Optional[List[str]] = None
-) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """The full benches × backends grid (default: every registered backend)."""
-    names = backends if backends is not None else queue_names()
-    return {name: run_benches(repeats=repeats, queue=name) for name in names}
+def run_benches(repeats: int = DEFAULT_REPEATS) -> Dict[str, Dict[str, float]]:
+    """Run every bench; keep each bench's best wall time."""
+    return _timed_rows(BENCHES, repeats)
 
 
 def measure_metrics_overhead(repeats: int = DEFAULT_REPEATS) -> Dict[str, Dict[str, float]]:
@@ -334,14 +315,12 @@ def load_baseline(path: Path) -> Dict:
 def write_baseline(
     path: Path,
     results: Dict[str, Dict[str, float]],
-    backends: Optional[Dict[str, Dict[str, Dict[str, float]]]] = None,
     warm_start: Optional[Dict[str, Dict[str, float]]] = None,
     sweep: Optional[Dict[str, Dict[str, float]]] = None,
 ) -> None:
     """Write the measured baseline, preserving any frozen ``pre_pr`` block.
 
-    ``results`` fills the legacy ``benchmarks`` block (the heap numbers);
-    ``backends`` adds the per-backend matrix the ``--check`` gate walks.
+    ``results`` fills the ``benchmarks`` block the ``--check`` gate walks.
     ``warm_start`` and ``sweep`` record informational sections — the
     checkpoint-restore speedup and the adaptive-vs-fixed seed-allocation
     savings — never gated (``check_against`` does not walk them).
@@ -350,15 +329,13 @@ def write_baseline(
         "schema": 2,
         "tolerance": DEFAULT_TOLERANCE,
         "note": (
-            "Engine micro-benchmark baseline. 'benchmarks' mirrors the heap "
-            "backend and 'backends' holds one section per event-queue "
-            "backend; both are refreshed by `python -m repro.runner.bench "
-            "--write`. 'pre_pr' is the frozen pre-optimization reference "
-            "and is never rewritten. 'warm_start' records the informational "
-            "checkpoint-restore speedup (six-pad cell, snapshot at t=50 of "
-            "100) and 'sweep' the adaptive-vs-fixed seed-allocation savings "
-            "(table2 via the service orchestrator); neither is gated by "
-            "--check."
+            "Engine micro-benchmark baseline. 'benchmarks' is refreshed by "
+            "`python -m repro.runner.bench --write`. 'pre_pr' is the frozen "
+            "pre-optimization reference and is never rewritten. 'warm_start' "
+            "records the informational checkpoint-restore speedup (six-pad "
+            "cell, snapshot at t=50 of 100) and 'sweep' the adaptive-vs-fixed "
+            "seed-allocation savings (table2 via the service orchestrator); "
+            "neither is gated by --check."
         ),
     }
     previous: Dict = {}
@@ -372,8 +349,6 @@ def write_baseline(
         if "tolerance" in previous:
             data["tolerance"] = previous["tolerance"]
     data["benchmarks"] = results
-    if backends is not None:
-        data["backends"] = backends
     if warm_start is not None:
         data["warm_start"] = warm_start
     elif "warm_start" in previous:
@@ -389,22 +364,12 @@ def write_baseline(
 
 
 def check_against(
-    baseline: Dict,
-    results: Dict[str, Dict[str, float]],
-    backend: Optional[str] = None,
+    baseline: Dict, results: Dict[str, Dict[str, float]]
 ) -> List[str]:
-    """Regression messages; empty when every bench is within tolerance.
-
-    With ``backend`` given, results are compared against that backend's
-    section of the committed matrix (falling back to the legacy
-    ``benchmarks`` block when the section does not exist yet).
-    """
+    """Regression messages; empty when every bench is within tolerance."""
     tolerance = float(baseline.get("tolerance", DEFAULT_TOLERANCE))
     committed = baseline.get("benchmarks", {})
-    if backend is not None:
-        committed = baseline.get("backends", {}).get(backend, committed)
     failures: List[str] = []
-    label = f"[{backend}] " if backend else ""
     for name, current in results.items():
         reference = committed.get(name)
         if reference is None:
@@ -412,7 +377,7 @@ def check_against(
         floor = reference["events_per_sec"] * (1.0 - tolerance)
         if current["events_per_sec"] < floor:
             failures.append(
-                f"{label}{name}: {current['events_per_sec']:,.0f} events/sec "
+                f"{name}: {current['events_per_sec']:,.0f} events/sec "
                 f"is below {floor:,.0f} (baseline "
                 f"{reference['events_per_sec']:,.0f} - {tolerance:.0%} "
                 "tolerance)"
@@ -447,20 +412,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--repeats", type=int, default=DEFAULT_REPEATS,
         help="timed repeats per bench; the best run is kept",
     )
-    parser.add_argument(
-        "--queue", default=None, metavar="BACKEND",
-        help="event-queue backend for a plain run or --profile "
-        "(default heap; --write/--check always run every backend)",
-    )
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
         "--write", action="store_true",
-        help="refresh the baseline file with this machine's numbers "
-        "(full backend matrix)",
+        help="refresh the baseline file with this machine's numbers",
     )
     mode.add_argument(
         "--check", action="store_true",
-        help="fail if any bench on any backend regresses beyond tolerance",
+        help="fail if any bench regresses beyond tolerance",
     )
     mode.add_argument(
         "--overhead", action="store_true",
@@ -480,7 +439,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     mode.add_argument(
         "--profile", default=None, metavar="FILE",
-        help="run the single-backend table under cProfile and dump "
+        help="run the bench table under cProfile and dump "
         "stats to FILE (inspect with 'python -m pstats FILE')",
     )
     args = parser.parse_args(argv)
@@ -538,7 +497,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
-        results = run_benches(repeats=args.repeats, queue=args.queue)
+        results = run_benches(repeats=args.repeats)
         profiler.disable()
         profiler.dump_stats(args.profile)
         print(_render(results))  # repro-lint: allow=REPRO107 (bench CLI output)
@@ -548,11 +507,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     path = args.baseline if args.baseline is not None else default_baseline_path()
 
     if args.write or args.check:
-        matrix = run_bench_matrix(repeats=args.repeats)
-        for backend, results in matrix.items():
-            print(f"-- backend: {backend}")  # repro-lint: allow=REPRO107 (bench CLI output)
-            print(_render(results))  # repro-lint: allow=REPRO107 (bench CLI output)
-            print()  # repro-lint: allow=REPRO107 (bench CLI output)
+        results = run_benches(repeats=args.repeats)
+        print(_render(results))  # repro-lint: allow=REPRO107 (bench CLI output)
+        print()  # repro-lint: allow=REPRO107 (bench CLI output)
         if args.write:
             warm_rows = measure_warm_start(repeats=args.repeats)
             print("-- warm start (informational)")  # repro-lint: allow=REPRO107 (bench CLI output)
@@ -562,10 +519,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             for label, row in sweep_rows.items():
                 print(f"   {label}: {row['cells']:.0f} cells, "  # repro-lint: allow=REPRO107 (bench CLI output)
                       f"{row['wall_s']:.3f}s")
-            write_baseline(
-                path, matrix.get("heap", {}), backends=matrix,
-                warm_start=warm_rows, sweep=sweep_rows,
-            )
+            write_baseline(path, results, warm_start=warm_rows,
+                           sweep=sweep_rows)
             print(f"baseline written to {path}")  # repro-lint: allow=REPRO107 (bench CLI output)
             return 0
         try:
@@ -573,9 +528,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError as exc:
             print(f"cannot read baseline {path}: {exc}", file=sys.stderr)  # repro-lint: allow=REPRO107 (bench CLI output)
             return 2
-        failures: List[str] = []
-        for backend, results in matrix.items():
-            failures.extend(check_against(baseline, results, backend=backend))
+        failures = check_against(baseline, results)
         if failures:
             print("REGRESSION:", file=sys.stderr)  # repro-lint: allow=REPRO107 (bench CLI output)
             for message in failures:
@@ -584,7 +537,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("all benches within tolerance of the committed baseline")  # repro-lint: allow=REPRO107 (bench CLI output)
         return 0
 
-    results = run_benches(repeats=args.repeats, queue=args.queue)
+    results = run_benches(repeats=args.repeats)
     print(_render(results))  # repro-lint: allow=REPRO107 (bench CLI output)
     return 0
 

@@ -75,7 +75,6 @@ def profile_to_dict(profile: RunProfile) -> Dict[str, Any]:
         "sanitize": profile.sanitize,
         "metrics": metrics,
         "faults": None if profile.faults is None else profile.faults.to_dict(),
-        "queue": profile.queue,
         "warm_start": None if profile.warm_start is None else {
             "at": profile.warm_start.at,
             "store": profile.warm_start.store,
@@ -114,7 +113,6 @@ def profile_from_dict(payload: Mapping[str, Any]) -> RunProfile:
         sanitize=payload.get("sanitize"),
         metrics=metrics,
         faults=faults,
-        queue=payload.get("queue"),
         warm_start=warm,
     )
 

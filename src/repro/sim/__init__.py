@@ -1,9 +1,7 @@
 """Discrete-event simulation kernel.
 
-The kernel is deliberately small: a pluggable event queue with
-deterministic tie-breaking (:class:`~repro.sim.kernel.Simulator`; backends
-in :mod:`repro.sim.queues` — the default binary heap and a calendar-queue
-timer wheel, byte-identical in firing order), cancellable
+The kernel is deliberately small: one binary-heap event queue with
+deterministic tie-breaking (:class:`~repro.sim.kernel.Simulator`), cancellable
 event handles (:class:`~repro.sim.events.EventHandle`), restartable timers
 (:class:`~repro.sim.timers.Timer`), named seeded random streams
 (:class:`~repro.sim.rng.RandomStreams`), and an event trace recorder

@@ -6,12 +6,10 @@ queue entry stays in place but is skipped when it surfaces.  This keeps both
 scheduling and cancellation O(log n) / O(1) and avoids the cost of queue
 surgery, which matters because MAC state machines cancel timers constantly.
 
-The queue backends store ``(time, priority, seq, handle)`` tuples rather
+The kernel's heap stores ``(time, priority, seq, handle)`` tuples rather
 than the handles themselves, so sift comparisons run on C-level tuples;
 :meth:`EventHandle.__lt__` is kept only for code that orders handles
-directly.  ``seq`` doubles as a staleness stamp: a backend with in-place
-reschedule gives the handle a fresh ``seq`` (via :func:`next_seq`) and the
-entry carrying the old one is dead where it lies.
+directly.
 
 **Pooling.**  Handles are the dominant allocation in long runs — every
 frame arms or rearms a timeout.  A creator that promises never to touch a
@@ -32,11 +30,6 @@ from typing import Any, Callable, Iterator, Optional, Tuple
 #: events scheduled for the same instant fire in scheduling order, which makes
 #: runs reproducible regardless of queue internals.
 _sequence: Iterator[int] = itertools.count()
-
-
-def next_seq() -> int:
-    """Draw the next global sequence number (kernel use: reschedule)."""
-    return next(_sequence)
 
 
 class EventHandle:
@@ -99,9 +92,9 @@ class EventHandle:
     ) -> None:
         """Reset a recycled handle as if freshly constructed (kernel only).
 
-        Draws a new ``seq``, so any stale queue entries still naming the
-        old one stay dead.  Only the kernel's free list calls this, and
-        only for handles whose single live queue placement was removed.
+        Draws a new ``seq``, exactly as construction does.  Only the
+        kernel's free list calls this, and only for handles whose single
+        heap entry was removed.
         """
         self.time = time
         self.priority = priority

@@ -1,8 +1,8 @@
 """The discrete-event simulator.
 
-A :class:`Simulator` owns the virtual clock and a pluggable pending-event
-queue.  Model code schedules callbacks with :meth:`Simulator.schedule`
-(relative delay) or :meth:`Simulator.at` (absolute time) and drives the
+A :class:`Simulator` owns the virtual clock and the pending-event heap.
+Model code schedules callbacks with :meth:`Simulator.schedule` (relative
+delay) or :meth:`Simulator.at` (absolute time) and drives the
 run with :meth:`Simulator.run`.  The kernel guarantees:
 
 * events fire in non-decreasing time order;
@@ -10,26 +10,21 @@ run with :meth:`Simulator.run`.  The kernel guarantees:
 * a cancelled event never fires;
 * the clock never moves backwards.
 
-*Which data structure holds the pending events* is an
-:class:`~repro.sim.queues.EventQueue` backend (``queue=`` — ``"heap"``,
-the binary tuple heap and default, or ``"wheel"``, a calendar queue with
-O(1) amortized schedule/cancel built for MACAW's cancel-dominated timer
-workload; the ``REPRO_QUEUE`` environment variable sets the ambient
-default).  Every backend delivers events in identical
-``(time, priority, seq)`` order, so ``events_fired`` and trace digests
-are byte-identical per seed regardless of backend.  Cancelled events are
-skipped lazily; each backend keeps a live-event counter — O(1) on
-schedule, fire and cancel — that both answers
-:meth:`Simulator.pending_count` without walking the structure and
-triggers a compaction sweep when dead entries dominate, from *any* pop
-path (``run``, ``step`` and ``peek`` share the accounting).
+The pending events live in one binary heap of ``(time, priority, seq,
+handle)`` tuples, so every sift comparison is a C-level tuple compare
+(``seq`` is unique, so the handle itself is never compared).  Schedule
+and pop are O(log n).  Cancellation is lazy: a cancelled entry stays
+queued and is dropped when it surfaces at the head.  A live-event
+counter — O(1) on schedule, fire and cancel — answers
+:meth:`Simulator.pending_count` without walking the heap, and triggers
+a compaction sweep when a heap larger than :data:`COMPACT_MIN_SIZE`
+falls below half live.  Every pop path (``run``, ``step`` and ``peek``)
+shares that accounting.
 
-Two allocation fast paths sit on top: handles created with
-``pooled=True`` (the promise that the creator never touches a handle
-after it fires or is cancelled — :class:`repro.sim.timers.Timer` does
-this) are recycled through a per-simulator free list, and
-:meth:`Simulator.reschedule` rearms a pending event in place when the
-backend supports it, sparing the cancel-then-push dance entirely.
+Handles created with ``pooled=True`` (the promise that the creator never
+touches a handle after it fires or is cancelled —
+:class:`repro.sim.timers.Timer` does this) are recycled through a
+per-simulator free list instead of reallocated.
 
 The paper's simulator (§3) is event-driven at packet granularity; runs of
 500–2000 simulated seconds at 256 kbps produce on the order of 10^5–10^6
@@ -48,12 +43,25 @@ effect at the very next clock advance.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from heapq import heapify, heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
-from repro.sim.events import EventHandle, next_seq
-from repro.sim.queues import POOL_MAX, EventQueue, make_queue
+from repro.sim.events import EventHandle
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import Trace
+
+#: Compact when the heap holds more than this many entries and fewer than
+#: half of them are live.  Small enough to bound memory on cancel-heavy
+#: workloads, large enough that compaction never shows up on short runs.
+COMPACT_MIN_SIZE = 512
+
+#: Upper bound on the handle free list: enough to cover every timer a
+#: large cell keeps in flight, small enough that a burst of cancellations
+#: cannot pin memory forever.
+POOL_MAX = 1024
+
+#: A queued event, ordered by ``(time, priority, seq)``.
+Entry = Tuple[float, int, int, EventHandle]
 
 
 class SimulationError(RuntimeError):
@@ -73,28 +81,18 @@ class Simulator:
     trace:
         Optional :class:`~repro.sim.trace.Trace` used by model components to
         record protocol events for post-run analysis.
-    queue:
-        Event-queue backend spec (``"heap"``, ``"wheel"``,
-        ``"wheel:WIDTH"``); None adopts ``$REPRO_QUEUE`` or the heap.
-        Purely a performance knob — results are byte-identical.
     """
 
-    def __init__(self, seed: int = 0, trace: Optional[Trace] = None,
-                 queue: Optional[str] = None) -> None:
+    def __init__(self, seed: int = 0, trace: Optional[Trace] = None) -> None:
         self._now = 0.0
-        self._queue: EventQueue = make_queue(queue)
+        #: Pending entries, dead (cancelled) ones included until purged.
+        #: Compaction rewrites the list in place, so a local alias held
+        #: by the run loop stays valid.
+        self._heap: List[Entry] = []
+        #: Live (non-cancelled) entries in ``_heap``.
+        self._live = 0
+        #: Free list of recycled pooled handles.
         self._free: List[EventHandle] = []
-        self._queue.pool = self._free
-        # Hot-path aliases: one attribute hop instead of two per event.
-        # ``_note_cancelled`` is what EventHandle.cancel() calls on its
-        # owner — bound straight to the backend's accounting method.
-        self._push = self._queue.push
-        self._pop = self._queue.pop_next
-        self._note_cancelled = self._queue.note_cancelled
-        #: True when the backend rearms pending events in place (the
-        #: wheel); rearm-heavy callers check this before bothering
-        #: :meth:`reschedule` (the heap would only say no).
-        self.can_reschedule: bool = self._queue.supports_reschedule
         self._running = False
         self._stopped = False
         self.streams = RandomStreams(seed)
@@ -105,11 +103,6 @@ class Simulator:
         #: observability is off, which keeps the run loop at a single
         #: ``is not None`` test per fired event.
         self._observer: Optional[Callable[[float], None]] = None
-
-    @property
-    def queue_name(self) -> str:
-        """Registry name of the active event-queue backend."""
-        return self._queue.name
 
     # ------------------------------------------------------------- observing
     def attach_observer(self, observer: Callable[[float], None]) -> None:
@@ -173,7 +166,8 @@ class Simulator:
         else:
             handle = EventHandle(time, callback, args, priority=priority,
                                  owner=self, pooled=pooled)
-        self._push(time, priority, handle.seq, handle)
+        heappush(self._heap, (time, priority, handle.seq, handle))
+        self._live += 1
         return handle
 
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any,
@@ -194,7 +188,8 @@ class Simulator:
         else:
             handle = EventHandle(time, callback, args, owner=self,
                                  pooled=pooled)
-        self._push(time, 0, handle.seq, handle)
+        heappush(self._heap, (time, 0, handle.seq, handle))
+        self._live += 1
         return handle
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> EventHandle:
@@ -204,35 +199,6 @@ class Simulator:
         preserving causal ordering within a single instant.
         """
         return self.at(self._now, callback, *args)
-
-    def reschedule(self, handle: EventHandle, time: float,
-                   priority: int = 0) -> bool:
-        """Move a pending event to ``time`` in place, if the backend can.
-
-        Returns True when the backend rearmed the live handle (the wheel:
-        O(1), no new allocation) and False when it cannot (the heap) —
-        the caller then falls back to ``cancel()`` + a fresh schedule.
-        Either way the event is assigned a fresh sequence number, so
-        same-instant firing order is byte-identical to the fallback path.
-        """
-        if handle.owner is not self or not handle.pending:
-            raise SimulationError(
-                "reschedule() needs a pending event owned by this simulator"
-            )
-        if time < self._now:
-            raise SimulationError(
-                f"cannot reschedule to t={time:.9f}, clock already at "
-                f"{self._now:.9f}"
-            )
-        queue = self._queue
-        if not queue.supports_reschedule:
-            return False
-        # The backend stamps the handle's new (time, priority, seq) itself,
-        # *before* its internal compaction can observe the old/new entry
-        # pair — assigning here afterwards would leave a window where the
-        # handle still named the stale entry (see EventQueue.reschedule).
-        queue.reschedule(handle, time, priority, next_seq())
-        return True
 
     # --------------------------------------------------------------- running
     def run(self, until: Optional[float] = None) -> float:
@@ -257,22 +223,31 @@ class Simulator:
             )
         self._running = True
         self._stopped = False
-        pop_next = self._pop
+        heap = self._heap
         free = self._free
+        horizon = float("inf") if until is None else until
         # The counter accumulates in a local and lands back on the attribute
         # in the finally block — ``events_fired`` read from inside a callback
         # is the pre-run value until the run returns, and ``step()`` refuses
         # to run re-entrantly so its direct increment can never be clobbered
-        # by the write-back.  (The loop body below is
-        # :meth:`EventHandle._fire` inlined — pop_next already filtered
-        # cancelled entries, so its liveness guard would be dead weight.)
+        # by the write-back.  (The loop body below is :meth:`_head` and
+        # :meth:`EventHandle._fire` inlined: entries are popped before their
+        # callback runs, so a queued handle is pending or cancelled, never
+        # fired, and the ``_cancelled`` slot is the whole liveness test.)
         fired = self.events_fired
         try:
-            while not self._stopped:
-                head = pop_next(until)
-                if head is None:
+            while heap and not self._stopped:
+                entry = heap[0]
+                head = entry[3]
+                if head._cancelled:
+                    heappop(heap)
+                    self._purged(head)
+                    continue
+                time = entry[0]
+                if time > horizon:
                     break
-                time = head.time
+                heappop(heap)
+                self._live -= 1
                 # Re-read per iteration: a fired event may attach/detach.
                 observer = self._observer
                 if observer is not None and time > self._now:
@@ -307,9 +282,12 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("step() cannot be called from inside run()")
-        head = self._pop(None)
-        if head is None:
+        entry = self._head()
+        if entry is None:
             return False
+        heappop(self._heap)
+        self._live -= 1
+        head = entry[3]
         observer = self._observer
         if observer is not None and head.time > self._now:
             observer(head.time)
@@ -326,14 +304,62 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or None when the queue is empty."""
-        return self._queue.peek_time()
+        entry = self._head()
+        return None if entry is None else entry[0]
 
     def pending_count(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""
-        return self._queue.live
+        return self._live
+
+    # ------------------------------------------------------ dead accounting
+    def _head(self) -> Optional[Entry]:
+        """The next live entry, left queued; dead heads are purged on the way."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if not entry[3]._cancelled:
+                return entry
+            heappop(heap)
+            self._purged(entry[3])
+        return None
+
+    def _note_cancelled(self) -> None:
+        """One queued event was cancelled; its entry stays until purged.
+
+        :meth:`EventHandle.cancel` calls this on its owner.  MAC state
+        machines cancel constantly, so the compaction test is inline.
+        """
+        self._live -= 1
+        heap = self._heap
+        if len(heap) > COMPACT_MIN_SIZE and self._live < len(heap) // 2:
+            self._compact()
+
+    def _purged(self, head: EventHandle) -> None:
+        """A dead entry left through the head: recycle it, keep pressure."""
+        if head._pooled and len(self._free) < POOL_MAX:
+            self._free.append(head)
+        heap = self._heap
+        if len(heap) > COMPACT_MIN_SIZE and self._live < len(heap) // 2:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Rebuild the heap, in place, from its live entries only.
+
+        Ordering is unaffected: entries keep their ``(time, priority,
+        seq)`` keys.  Cancelled pooled handles go back to the free list;
+        each one had exactly this single entry, so it is recycled once.
+        """
+        heap = self._heap
+        free = self._free
+        for entry in heap:
+            head = entry[3]
+            if head._cancelled and head._pooled and len(free) < POOL_MAX:
+                free.append(head)
+        heap[:] = [entry for entry in heap if not entry[3]._cancelled]
+        heapify(heap)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Simulator(now={self._now:.6f}, pending={self.pending_count()},"
-            f" fired={self.events_fired}, queue={self.queue_name!r})"
+            f" fired={self.events_fired})"
         )

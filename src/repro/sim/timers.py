@@ -6,14 +6,9 @@ MAC state machines set, clear and re-arm timeouts on almost every frame.
 event handles, and so a stale callback can never fire after a restart.
 
 Because a Timer owns its handle exclusively — it drops the reference the
-moment the event fires or is stopped — it opts into both kernel
-allocation fast paths: its handles are *pooled* (recycled through the
-simulator's free list instead of reallocated), and a restart while armed
-goes through :meth:`~repro.sim.kernel.Simulator.reschedule`, which on a
-backend with in-place rearm (the wheel) moves the live handle in O(1)
-with no cancel, no new entry surgery and no allocation at all.  On the
-heap backend ``reschedule`` declines and the classic cancel-then-schedule
-path runs instead; either way the event stream is byte-identical.
+moment the event fires or is stopped — its handles are *pooled*:
+recycled through the simulator's free list instead of reallocated.  A
+restart while armed cancels the pending handle and schedules a fresh one.
 """
 
 from __future__ import annotations
@@ -37,10 +32,6 @@ class Timer:
         self._callback = callback
         self.name = name
         self._handle: Optional[EventHandle] = None
-        # Snapshot: the backend never changes under a live simulator, and
-        # skipping the doomed reschedule() call on the heap keeps the
-        # rearm path as cheap as it was before backends were pluggable.
-        self._can_resched = sim.can_reschedule
 
     @property
     def running(self) -> bool:
@@ -57,15 +48,13 @@ class Timer:
         return None
 
     def _arm(self, time: float) -> None:
-        """(Re-)arm at absolute ``time``, reusing the live handle if possible.
+        """(Re-)arm at absolute ``time``, cancelling any pending expiry.
 
         Runs on nearly every frame, so the handle's liveness slots are read
         directly instead of through the ``pending`` property.
         """
         handle = self._handle
         if handle is not None and not (handle._cancelled or handle._fired):
-            if self._can_resched and self._sim.reschedule(handle, time):
-                return
             handle.cancel()
         self._handle = self._sim.at(time, self._expire, pooled=True)
 

@@ -2,12 +2,12 @@
 
 The subsystem turns one warmed-up simulation into many: capture the
 complete simulator state at ``t=T`` (kernel clock + pending events,
-either queue backend, every RNG substream, MAC state machines and
-timers, in-flight transmissions, flow/TCP state, fault processes,
-sampler position), save it as a versioned ``*.snap`` file, and restore
-it into a freshly built equivalent scenario — on either backend — such
-that running to the horizon is **byte-identical** (``events_fired`` and
-``Trace.digest()``) to never having stopped.
+every RNG substream, MAC state machines and timers, in-flight
+transmissions, flow/TCP state, fault processes, sampler position), save
+it as a versioned ``*.snap`` file, and restore it into a freshly built
+equivalent scenario such that running to the horizon is
+**byte-identical** (``events_fired`` and ``Trace.digest()``) to never
+having stopped.
 
 Entry points:
 

@@ -28,7 +28,7 @@ __all__ = ["fork", "FORKABLE_KNOBS"]
 
 #: Profile fields a fork may swap at the branch point.  Everything else
 #: changes the physics the captured state was produced under.
-FORKABLE_KNOBS = frozenset({"queue", "trace", "sanitize", "metrics"})
+FORKABLE_KNOBS = frozenset({"trace", "sanitize", "metrics"})
 
 #: Domain-separation constant so fork re-seeds can never collide with
 #: RandomStreams' own (seed, crc32(name)) derivation.

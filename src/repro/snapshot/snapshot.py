@@ -101,7 +101,6 @@ class Snapshot:
         blob = codec.dumps(payload, registry)
         meta = {
             "format": FORMAT_VERSION,
-            "queue": payload["queue"],
             "seed": payload["rng"]["seed"],
             "now": payload["now"],
             "events_fired": payload["events_fired"],

@@ -8,24 +8,20 @@ profile and seed).  Restoring then means
 1. overlay each registered component's instance ``__dict__`` with the
    captured attributes (identity-preserving: the target's objects stay
    in place, only their state changes),
-2. replace the kernel's event queue with an empty backend of the same
-   type and re-push the captured live entries under their preserved
-   ``(time, priority, seq)`` keys — delivery order derives entirely from
-   those keys, so a heap capture restores into a wheel (and vice versa)
-   byte-identically,
+2. rebuild the kernel's heap from the captured live entries, which keep
+   their ``(time, priority, seq)`` keys — delivery order derives entirely
+   from those keys,
 3. rewind the process-global sequence counters (event ``seq``, packet
    ``uid``) to their captured watermarks,
 4. overwrite every RNG substream's bit-generator state,
-5. run the post-overlay fix-ups: rebind the kernel's hot-path aliases,
-   re-derive each :class:`~repro.sim.timers.Timer`'s cached
-   ``_can_resched`` against the *target* backend, clear the medium's
-   audibility caches, and reset metrics probes' dwell anchors.
+5. run the post-overlay fix-ups: clear the medium's audibility caches
+   and reset metrics probes' dwell anchors.
 
 Step 3 makes restore a process-global operation: exactly one restored
 simulator can be live at a time (a second concurrent simulator would
 draw colliding ``seq`` values).  Capture, by contrast, is a strict
 no-op on the running simulator — counters are read with a
-consume-then-reseed trick and the queue is inspected read-only — so
+consume-then-reseed trick and the heap is inspected read-only — so
 capture-then-continue fires the exact event sequence an uninterrupted
 run does.
 
@@ -44,7 +40,6 @@ from typing import Any, Dict, Tuple
 
 from repro.core import streams as core_streams
 from repro.sim import events as events_mod
-from repro.sim.timers import Timer
 from repro.snapshot.registry import SnapshotError, SnapshotRegistry
 
 __all__ = ["capture_state", "restore_state", "scenario_policies",
@@ -114,15 +109,16 @@ def capture_state(sim: Any, registry: SnapshotRegistry,
                   policies: Dict[str, Policy]) -> Dict[str, Any]:
     """Snapshot the simulator into a picklable payload dict.
 
-    Strictly read-only with respect to future behavior: the queue is
-    inspected via :meth:`live_entries` and the global counters via the
-    consume-then-reseed trick.
+    Strictly read-only with respect to future behavior: the heap is
+    copied (live entries, sorted) and the global counters are read via
+    the consume-then-reseed trick.
     """
     if sim._running:
         raise SnapshotError("cannot capture while the kernel is "
                             "dispatching; capture between run() calls "
                             "or from a scheduled event boundary")
-    entries = sim._queue.live_entries()
+    # A new sorted list: the heap itself (and its invariant) is untouched.
+    entries = sorted(entry for entry in sim._heap if not entry[3]._cancelled)
     rng_states = {
         name: sim.streams._streams[name].bit_generator.state
         for name in sorted(sim.streams._streams)
@@ -146,7 +142,6 @@ def capture_state(sim: Any, registry: SnapshotRegistry,
     return {
         "now": sim._now,
         "events_fired": sim.events_fired,
-        "queue": sim.queue_name,
         "seq": _consume_then_reseed(events_mod, "_sequence"),
         "packet_uid": _consume_then_reseed(core_streams, "_packet_counter"),
         "entries": entries,
@@ -156,12 +151,6 @@ def capture_state(sim: Any, registry: SnapshotRegistry,
 
 
 # ------------------------------------------------------------------ restore
-def _fresh_queue(old: Any) -> Any:
-    """An empty backend of the same type (and width) as ``old``."""
-    width = getattr(old, "bucket_width", None)
-    return type(old)() if width is None else type(old)(width)
-
-
 def restore_state(sim: Any, registry: SnapshotRegistry,
                   payload: Dict[str, Any],
                   policies: Dict[str, Policy]) -> None:
@@ -194,20 +183,12 @@ def restore_state(sim: Any, registry: SnapshotRegistry,
             for field, value in state.items():
                 setattr(obj, field, value)
 
-    # 2. Kernel: swap in an empty queue of the target's backend type and
-    # re-push the captured entries under their preserved keys.  The old
-    # queue (holding the fresh build's now-superseded events) is dropped
+    # 2. Kernel: the captured entries, sorted, already form a valid heap.
+    # The fresh build's heap (its now-superseded events) is dropped
     # wholesale.
-    queue = _fresh_queue(sim._queue)
+    sim._heap = list(payload["entries"])
+    sim._live = len(sim._heap)
     sim._free = []
-    queue.pool = sim._free
-    for time, priority, seq, handle in payload["entries"]:
-        queue.push(time, priority, seq, handle)
-    sim._queue = queue
-    sim._push = queue.push
-    sim._pop = queue.pop_next
-    sim._note_cancelled = queue.note_cancelled
-    sim.can_reschedule = queue.supports_reschedule
     sim._now = payload["now"]  # repro-lint: allow=REPRO104 (clock restore, not a callback)
     sim.events_fired = payload["events_fired"]
     sim._running = False
@@ -224,7 +205,6 @@ def restore_state(sim: Any, registry: SnapshotRegistry,
         streams.get(name).bit_generator.state = state
 
     # 5. Fix-ups.
-    _fix_timers(sim, registry, payload, policies)
     if "medium" in registry:
         medium = registry.resolve("medium")
         medium._audible_cache.clear()
@@ -241,34 +221,3 @@ def restore_state(sim: Any, registry: SnapshotRegistry,
                 if probe is not None:
                     probe._entered = sim._now
 
-
-def _fix_timers(sim: Any, registry: SnapshotRegistry,
-                payload: Dict[str, Any],
-                policies: Dict[str, Policy]) -> None:
-    """Re-derive every restored Timer's cached backend capability.
-
-    ``Timer.__init__`` snapshots ``sim.can_reschedule``; a cross-backend
-    restore (heap capture -> wheel target, or vice versa) would leave
-    restored timers keyed to the *source* backend.  Timers live as
-    direct component attributes (or inside their shallow containers) and
-    as ``__self__`` of pending ``_expire`` callbacks — both are scanned.
-    """
-    can = sim.can_reschedule
-
-    def fix(value: Any) -> None:
-        if isinstance(value, Timer):
-            value._can_resched = can
-
-    for token in policies:
-        for value in vars(registry.resolve(token)).values():
-            fix(value)
-            if isinstance(value, (list, tuple)):
-                for item in value:
-                    fix(item)
-            elif isinstance(value, dict):
-                for item in value.values():
-                    fix(item)
-    for entry in payload["entries"]:
-        owner = getattr(entry[3].callback, "__self__", None)
-        if owner is not None:
-            fix(owner)

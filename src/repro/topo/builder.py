@@ -319,14 +319,6 @@ class ScenarioBuilder:
     def faults(self, value: Optional[Any]) -> None:
         self.profile = self.profile.but(faults=value)
 
-    @property
-    def queue(self) -> Optional[str]:
-        return self.profile.queue
-
-    @queue.setter
-    def queue(self, value: Optional[str]) -> None:
-        self.profile = self.profile.but(queue=value)
-
     # ------------------------------------------------------------- stations
     def add_station(
         self,
@@ -476,7 +468,6 @@ class ScenarioBuilder:
             trace=Trace(
                 enabled=profile.trace or sanitize or report_digest or report_trace
             ),
-            queue=profile.queue,
         )
         if self.medium_kind == "graph":
             medium: Medium = GraphMedium(sim, bitrate_bps=profile.bitrate_bps)

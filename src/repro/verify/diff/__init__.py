@@ -1,12 +1,11 @@
 """Differential execution oracle, first-divergence bisector and fuzzer.
 
 The repo's central correctness claim is that a run's ``Trace.digest()``
-is byte-identical across every *execution mode*: heap vs wheel event
-queues, serial vs pooled workers, snapshot-restore vs straight-through,
-metrics instrumentation on or off.  Each mode is supposed to be a pure
-performance/observability knob — when one of them leaks into the event
-stream (PR 6's mid-reschedule compaction bug), results silently change
-and only a hand-written parity test catches it.
+is byte-identical across every *execution mode*: serial vs pooled
+workers, snapshot-restore vs straight-through, metrics instrumentation
+on or off.  Each mode is supposed to be a pure performance/observability
+knob — when one of them leaks into the event stream, results silently
+change and only a hand-written parity test catches it.
 
 This package is the machine that finds such bugs first:
 

@@ -27,13 +27,6 @@ from repro.verify.diff.oracle import DiffOracle
 __all__ = ["main_diff", "main_fuzz"]
 
 
-def _parse_queues(spec: str) -> List[str]:
-    queues = [item.strip() for item in spec.split(",") if item.strip()]
-    if not queues:
-        raise ValueError(f"--queues needs at least one backend, got {spec!r}")
-    return queues
-
-
 def _parse_seed_list(spec: str, base: int) -> List[int]:
     if "," in spec:
         return [int(item) for item in spec.split(",") if item.strip()]
@@ -47,8 +40,8 @@ def main_diff(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="macaw-sim diff",
         description="Differential execution oracle: run experiments under "
-        "a matrix of execution modes (queue backend x jobs x "
-        "snapshot-roundtrip x metrics) and require byte-identical "
+        "a matrix of execution modes (jobs x snapshot-roundtrip x "
+        "metrics) and require byte-identical "
         "digests; bisect any mismatch to its first divergent event.",
     )
     parser.add_argument(
@@ -64,10 +57,8 @@ def main_diff(argv: Optional[List[str]] = None) -> int:
                         help="simulated seconds (default: experiment default)")
     parser.add_argument("--warmup", type=float, default=None,
                         help="warm-up seconds (default: experiment default)")
-    parser.add_argument("--queues", default="heap,wheel", metavar="A,B",
-                        help="queue backends to cross (first = baseline)")
     parser.add_argument("--full", action="store_true",
-                        help="full 16-point cross product instead of the "
+                        help="full 8-point cross product instead of the "
                         "baseline-plus-one-axis covering matrix")
     parser.add_argument("--no-bisect", action="store_true",
                         help="report digest mismatches without localizing")
@@ -89,8 +80,7 @@ def main_diff(argv: Optional[List[str]] = None) -> int:
 
     try:
         seeds = _parse_seed_list(args.seeds, args.seed)
-        queues = _parse_queues(args.queues)
-        modes = full_matrix(queues) if args.full else default_matrix(queues)
+        modes = full_matrix() if args.full else default_matrix()
         oracle = DiffOracle(
             exp_ids, seeds=seeds, duration=args.duration,
             warmup=args.warmup, modes=modes,
@@ -158,8 +148,6 @@ def main_fuzz(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--duration", type=float,
                         default=DEFAULT_CASE_DURATION_S,
                         help="simulated seconds per case")
-    parser.add_argument("--queues", default="heap,wheel", metavar="A,B",
-                        help="queue backends to cross (first = baseline)")
     parser.add_argument("--no-shrink", action="store_true",
                         help="skip greedy shrinking of a failing case")
     parser.add_argument("--out", default="fuzz-repro.json", metavar="PATH",
@@ -182,12 +170,7 @@ def main_fuzz(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
 
-    try:
-        modes = default_matrix(_parse_queues(args.queues))
-    except ValueError as exc:
-        print(f"macaw-sim fuzz: {exc}", file=sys.stderr)
-        return 2
-
+    modes = default_matrix()
     print(f"fuzz: seed {seed}, budget {args.budget}, "
           f"{args.duration}s cases, modes "
           f"[{', '.join(mode.label for mode in modes)}]")

@@ -1,7 +1,7 @@
 """Execution modes: the axes the differential oracle crosses.
 
-An :class:`ExecMode` names one point in the (queue backend × worker
-count × snapshot-roundtrip × metrics) space.  Every axis is documented
+An :class:`ExecMode` names one point in the (worker count ×
+snapshot-roundtrip × metrics) space.  Every axis is documented
 as digest-neutral; the oracle's job is to catch the day that stops
 being true.
 """
@@ -9,10 +9,9 @@ being true.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Mapping
 
 from repro.core.config import RunProfile
-from repro.sim.queues import resolve_backend
 
 __all__ = ["ExecMode", "default_matrix", "full_matrix"]
 
@@ -24,8 +23,6 @@ METRICS_INTERVAL_S = 2.0
 class ExecMode:
     """One execution configuration of an otherwise-identical run."""
 
-    #: Event-queue backend spec (``"heap"``, ``"wheel"``, ``"wheel:W"``).
-    queue: str = "heap"
     #: Worker processes (1 = serial in-process).
     jobs: int = 1
     #: Roundtrip the run through a mid-horizon snapshot capture/restore.
@@ -34,36 +31,31 @@ class ExecMode:
     metrics: bool = False
 
     def __post_init__(self) -> None:
-        resolve_backend(self.queue)
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")
 
     @property
     def label(self) -> str:
-        """Compact human label, e.g. ``"wheel+jobs2+snap"``."""
-        parts = [self.queue]
+        """Compact human label, e.g. ``"jobs2+snap"`` (``"base"`` for none)."""
+        parts: List[str] = []
         if self.jobs > 1:
             parts.append(f"jobs{self.jobs}")
         if self.snapshot:
             parts.append("snap")
         if self.metrics:
             parts.append("metrics")
-        return "+".join(parts)
+        return "+".join(parts) or "base"
 
     def apply(self, profile: RunProfile) -> RunProfile:
-        """The profile with this mode's queue/metrics knobs applied.
+        """The profile with this mode's metrics knob applied.
 
         The jobs and snapshot axes are *execution* choices, not profile
         knobs — the oracle realizes them when it runs the cell.
         """
-        return profile.but(
-            queue=self.queue,
-            metrics=METRICS_INTERVAL_S if self.metrics else False,
-        )
+        return profile.but(metrics=METRICS_INTERVAL_S if self.metrics else False)
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "queue": self.queue,
             "jobs": self.jobs,
             "snapshot": self.snapshot,
             "metrics": self.metrics,
@@ -72,37 +64,25 @@ class ExecMode:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "ExecMode":
         return cls(
-            queue=str(payload.get("queue", "heap")),
             jobs=int(payload.get("jobs", 1)),
             snapshot=bool(payload.get("snapshot", False)),
             metrics=bool(payload.get("metrics", False)),
         )
 
 
-def default_matrix(queues: Sequence[str] = ("heap", "wheel")) -> List[ExecMode]:
-    """Baseline plus one-axis variants: covers every axis in 5 runs.
+def default_matrix() -> List[ExecMode]:
+    """Baseline plus one-axis variants: covers every axis in 4 runs.
 
     One divergent axis is enough to flag a bug; the full cross product
     is for post-mortem confirmation, not the smoke path.
     """
-    base_queue = queues[0]
-    matrix = [ExecMode(queue=base_queue)]
-    matrix.extend(ExecMode(queue=q) for q in queues[1:])
-    matrix.append(ExecMode(queue=base_queue, jobs=2))
-    matrix.append(ExecMode(queue=base_queue, snapshot=True))
-    matrix.append(ExecMode(queue=base_queue, metrics=True))
-    return matrix
+    return [ExecMode(), ExecMode(jobs=2), ExecMode(snapshot=True),
+            ExecMode(metrics=True)]
 
 
-def full_matrix(queues: Sequence[str] = ("heap", "wheel")) -> List[ExecMode]:
-    """The full cross product: queue × jobs × snapshot × metrics."""
-    matrix = []
-    for queue in queues:
-        for jobs in (1, 2):
-            for snapshot in (False, True):
-                for metrics in (False, True):
-                    matrix.append(ExecMode(
-                        queue=queue, jobs=jobs,
-                        snapshot=snapshot, metrics=metrics,
-                    ))
-    return matrix
+def full_matrix() -> List[ExecMode]:
+    """The full cross product: jobs × snapshot × metrics."""
+    return [ExecMode(jobs=jobs, snapshot=snapshot, metrics=metrics)
+            for jobs in (1, 2)
+            for snapshot in (False, True)
+            for metrics in (False, True)]

@@ -73,30 +73,6 @@ def test_empty_schedule_digest_equals_no_schedule():
     assert RunProfile(faults=flap).digest() != RunProfile().digest()
 
 
-# ------------------------------------------------------------ queue backend
-def test_queue_normalizes_and_distinguishes_digests(monkeypatch):
-    monkeypatch.delenv("REPRO_QUEUE", raising=False)
-    assert RunProfile().queue == "heap"
-    assert RunProfile(queue="wheel").queue == "wheel"
-    # Results are backend-independent, but perf runs must not share
-    # cache entries: the digest names the backend.
-    assert RunProfile(queue="wheel").digest() != RunProfile().digest()
-    assert RunProfile(queue="wheel:0.002").digest() != RunProfile(queue="wheel").digest()
-    assert RunProfile(queue="heap").digest() == RunProfile().digest()
-
-
-def test_queue_env_var_sets_the_ambient_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_QUEUE", "wheel")
-    assert RunProfile().queue == "wheel"
-    assert RunProfile(queue="heap").queue == "heap"  # explicit wins
-
-
-def test_queue_validation_is_eager(monkeypatch):
-    monkeypatch.delenv("REPRO_QUEUE", raising=False)
-    with pytest.raises(ValueError):
-        RunProfile(queue="skiplist")
-
-
 # ---------------------------------------------------------- ambient scope
 def test_active_profile_scopes_the_ambient_profile():
     assert ambient_profile() is None

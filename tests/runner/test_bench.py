@@ -47,32 +47,6 @@ def test_write_preserves_frozen_pre_pr_block(tmp_path):
     assert data["tolerance"] == DEFAULT_TOLERANCE
 
 
-def test_write_records_the_backend_matrix(tmp_path):
-    path = tmp_path / "BENCH_engine.json"
-    matrix = {"heap": _results(55_000.0), "wheel": _results(60_000.0)}
-    write_baseline(path, matrix["heap"], backends=matrix)
-    data = load_baseline(path)
-    assert data["backends"] == matrix
-    assert data["benchmarks"] == matrix["heap"]
-
-
-def test_check_uses_the_backends_own_section():
-    baseline = {
-        "tolerance": 0.25,
-        "benchmarks": _results(50_000.0),
-        "backends": {
-            "heap": _results(50_000.0),
-            "wheel": _results(100_000.0),
-        },
-    }
-    # 60k events/sec clears the heap section but regresses the wheel's.
-    assert check_against(baseline, _results(60_000.0), backend="heap") == []
-    failures = check_against(baseline, _results(60_000.0), backend="wheel")
-    assert len(failures) == 1 and "[wheel]" in failures[0]
-    # A backend with no committed section falls back to 'benchmarks'.
-    assert check_against(baseline, _results(60_000.0), backend="novel") == []
-
-
 def test_committed_baseline_exists_and_documents_the_speedup():
     data = load_baseline(default_baseline_path())
     assert set(data["benchmarks"]) >= {
@@ -84,20 +58,3 @@ def test_committed_baseline_exists_and_documents_the_speedup():
     before = data["pre_pr"]["six_pad_cell"]["wall_s"]
     after = data["benchmarks"]["six_pad_cell"]["wall_s"]
     assert after <= 0.8 * before
-
-
-def test_committed_baseline_documents_the_wheel_win():
-    data = load_baseline(default_baseline_path())
-    backends = data["backends"]
-    assert set(backends) >= {"heap", "wheel"}
-    # The acceptance claim of the queue-backend PR: on the cancel-heavy
-    # timer bench the wheel clears the heap by >= 25% events/sec...
-    heap = backends["heap"]["timer_cancel"]["events_per_sec"]
-    wheel = backends["wheel"]["timer_cancel"]["events_per_sec"]
-    assert wheel >= 1.25 * heap
-    # ...without giving the small contended cell back: six-pad on the
-    # wheel stays within the regression gate of the committed heap
-    # baseline (the section --check holds every backend to).
-    six_heap = backends["heap"]["six_pad_cell"]["events_per_sec"]
-    six_wheel = backends["wheel"]["six_pad_cell"]["events_per_sec"]
-    assert six_wheel >= (1.0 - data["tolerance"]) * six_heap

@@ -44,7 +44,7 @@ def test_spec_digest_stable_and_content_sensitive():
         policy=FixedSeeds(seeds=(0, 1, 2))
     ).digest()
     assert _spec().digest() != _spec(
-        profile=RunProfile(queue="wheel")
+        profile=RunProfile(trace=True)
     ).digest()
 
 
@@ -52,7 +52,7 @@ def test_spec_round_trips_through_dict():
     spec = _spec(
         policy=AdaptiveSeeds(epsilon=2.0, metric="variant:MACAW",
                              min_seeds=4, max_seeds=8),
-        profile=RunProfile(trace=True, queue="wheel", sanitize=True),
+        profile=RunProfile(trace=True, sanitize=True),
     )
     clone = JobSpec.from_dict(spec.to_dict())
     assert clone == spec

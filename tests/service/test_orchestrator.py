@@ -73,15 +73,9 @@ def test_cache_hits_from_other_jobs_are_reused(fake_experiments, tmp_path):
     assert second.digest_set() == first.digest_set()
 
 
-@pytest.mark.parametrize("queue", ["heap", "wheel"])
 @pytest.mark.parametrize("jobs", [1, 4])
-def test_interrupt_resume_digest_set_byte_equal(
-    fake_experiments, tmp_path, queue, jobs
-):
-    from repro.core.config import RunProfile
-
-    spec = _spec(policy=FixedSeeds(seeds=(0, 1, 2, 3)),
-                 profile=RunProfile(queue=queue))
+def test_interrupt_resume_digest_set_byte_equal(fake_experiments, tmp_path, jobs):
+    spec = _spec(policy=FixedSeeds(seeds=(0, 1, 2, 3)))
     reference = _run(spec, tmp_path, tag="ref", jobs=jobs)
     assert reference.status == "complete"
 

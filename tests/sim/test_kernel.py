@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.kernel import SimulationError, Simulator
+from repro.sim.kernel import COMPACT_MIN_SIZE, SimulationError, Simulator
+from repro.sim.timers import Timer
 
 
 def test_clock_starts_at_zero():
@@ -219,7 +220,7 @@ def test_pending_count_is_live_counter_not_heap_walk():
     assert sim.pending_count() == 50
     sim.run(until=10.0)  # fires the 5 surviving events at t=2,4,6,8,10
     assert sim.pending_count() == 50 - 5
-    assert len(sim._queue) >= sim.pending_count()
+    assert len(sim._heap) >= sim.pending_count()
 
 
 def test_mass_cancel_compacts_heap():
@@ -231,10 +232,8 @@ def test_mass_cancel_compacts_heap():
     # Cancelled entries dominate a large queue, so compaction must sweep
     # them out; the structure stays bounded near the compaction threshold
     # instead of dragging 2000 dead entries through every sift.
-    from repro.sim.queues import COMPACT_MIN_SIZE
-
     assert sim.pending_count() == 1
-    assert len(sim._queue) <= COMPACT_MIN_SIZE + 1
+    assert len(sim._heap) <= COMPACT_MIN_SIZE + 1
     sim.run()
     assert sim.now == 2000.0
     assert keep.fired
@@ -261,3 +260,110 @@ def test_cancel_inside_callback_keeps_counter_consistent():
     sim.run()
     assert sim.pending_count() == 0
     assert sim.events_fired == 1
+
+
+def test_priority_and_fifo_ordering_at_one_instant():
+    sim = Simulator()
+    fired = []
+    sim.at(1.0, fired.append, "b")
+    sim.at(1.0, fired.append, "late", priority=5)
+    sim.at(1.0, fired.append, "early", priority=-1)
+    sim.at(1.0, fired.append, "c")
+    sim.run()
+    assert fired == ["early", "b", "c", "late"]
+
+
+# ------------------------------------------------- dead-entry accounting
+
+def test_step_driven_runs_compact_too():
+    # step() and peek() pop cancelled heads through the same accounting
+    # as the run loop, so they keep the same compaction pressure.
+    sim = Simulator()
+    keep = sim.schedule(2000.0, lambda: None)
+    handles = [sim.schedule(float(i + 1), lambda: None) for i in range(2000)]
+    for handle in handles:
+        handle.cancel()
+    assert sim.pending_count() == 1
+    assert len(sim._heap) <= COMPACT_MIN_SIZE + 1
+    assert sim.peek() == 2000.0  # peeking past dead heads keeps counts sane
+    assert sim.step()
+    assert keep.fired
+    assert not sim.step()
+    assert len(sim._heap) == 0
+
+
+def test_peek_purges_dead_heads_without_losing_live_entries():
+    sim = Simulator()
+    dead = sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    dead.cancel()
+    assert sim.peek() == 2.0
+    assert sim.pending_count() == 1
+    sim.run()
+    assert sim.events_fired == 1
+
+
+def test_infinite_time_sentinel_stays_queued():
+    sim = Simulator()
+    fired = []
+    sentinel = sim.at(float("inf"), fired.append, "never")
+    sim.at(1.0, fired.append, "real")
+    sim.run(until=100.0)
+    assert fired == ["real"]
+    assert sim.pending_count() == 1
+    assert sim.peek() == float("inf")
+    sentinel.cancel()
+    assert sim.pending_count() == 0
+
+
+def test_step_inside_run_is_rejected():
+    # run() batches events_fired in a local; a re-entrant step()'s direct
+    # increment would be clobbered by the write-back, so it must raise.
+    sim = Simulator()
+    caught = []
+
+    def probe():
+        with pytest.raises(SimulationError):
+            sim.step()
+        caught.append(True)
+
+    sim.schedule(1.0, probe)
+    sim.schedule(2.0, lambda: None)
+    sim.run()
+    assert caught == [True]
+    assert sim.events_fired == 2
+
+
+# ------------------------------------------------------------------ pooling
+
+def test_timer_handles_are_recycled_through_the_free_list():
+    sim = Simulator()
+    timer = Timer(sim, lambda: None)
+    timer.start(1.0)
+    sim.run(until=1.0)
+    assert len(sim._free) == 1
+    recycled = sim._free[0]
+    timer.start(1.0)
+    assert timer._handle is recycled
+    assert timer._handle.pending
+    sim.run(until=5.0)
+    assert sim.events_fired == 2
+
+
+def test_cancelled_pooled_handles_return_to_the_pool_once():
+    sim = Simulator()
+    timer = Timer(sim, lambda: None)
+    for _ in range(5):
+        timer.start(1.0)
+        timer.stop()
+        sim.run(until=sim.now + 2.0)  # purge the dead entry
+    assert len(sim._free) <= 1  # the same object cycles; never duplicated
+    assert len(set(map(id, sim._free))) == len(sim._free)
+
+
+def test_plain_events_are_never_pooled():
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.run()
+    assert sim._free == []
+

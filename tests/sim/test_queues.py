@@ -1,85 +1,15 @@
-"""Event-queue backends: registry, ordering, compaction, pooling, rearm."""
+"""Event-queue behaviour of the kernel's binary heap: same-instant order, rearm."""
 
 import pytest
 
-from repro.sim.kernel import SimulationError, Simulator
-from repro.sim.queues import (
-    COMPACT_MIN_SIZE,
-    DEFAULT_BUCKET_WIDTH,
-    QUEUE_ENV,
-    WheelQueue,
-    make_queue,
-    queue_names,
-    resolve_backend,
-)
+from repro.sim.kernel import Simulator
 from repro.sim.timers import Timer
 
-BACKENDS = queue_names()
 
-
-# ----------------------------------------------------------------- registry
-
-def test_both_backends_are_registered():
-    assert set(BACKENDS) >= {"heap", "wheel"}
-
-
-def test_resolve_backend_defaults_to_heap(monkeypatch):
-    monkeypatch.delenv(QUEUE_ENV, raising=False)
-    assert resolve_backend(None) == "heap"
-
-
-def test_resolve_backend_reads_the_environment(monkeypatch):
-    monkeypatch.setenv(QUEUE_ENV, "wheel")
-    assert resolve_backend(None) == "wheel"
-    monkeypatch.setenv(QUEUE_ENV, "  ")  # blank: same as unset
-    assert resolve_backend(None) == "heap"
-
-
-def test_explicit_spec_wins_over_environment(monkeypatch):
-    monkeypatch.setenv(QUEUE_ENV, "wheel")
-    assert resolve_backend("heap") == "heap"
-
-
-def test_unknown_backend_rejected_eagerly():
-    with pytest.raises(ValueError, match="unknown event-queue backend"):
-        resolve_backend("skiplist")
-
-
-@pytest.mark.parametrize("spec", ["wheel:abc", "wheel:0", "wheel:-1", "heap:2"])
-def test_malformed_specs_rejected(spec):
-    with pytest.raises(ValueError):
-        resolve_backend(spec)
-
-
-def test_wheel_width_argument_is_honoured():
-    queue = make_queue("wheel:0.25")
-    assert isinstance(queue, WheelQueue)
-    assert queue.bucket_width == 0.25
-    assert make_queue("wheel").bucket_width == DEFAULT_BUCKET_WIDTH
-
-
-def test_simulator_reports_its_backend():
-    assert Simulator(queue="wheel").queue_name == "wheel"
-    assert Simulator(queue="heap").queue_name == "heap"
-
-
-# ----------------------------------------------------------------- ordering
-
-@pytest.mark.parametrize("queue", ["heap", "wheel", "wheel:0.001"])
-def test_priority_and_fifo_ordering_at_one_instant(queue):
-    sim = Simulator(queue=queue)
-    fired = []
-    sim.at(1.0, fired.append, "b")
-    sim.at(1.0, fired.append, "late", priority=5)
-    sim.at(1.0, fired.append, "early", priority=-1)
-    sim.at(1.0, fired.append, "c")
-    sim.run()
-    assert fired == ["early", "b", "c", "late"]
-
-
-@pytest.mark.parametrize("queue", ["heap", "wheel"])
+# The kernel has one event queue, a binary heap; the ``heap`` id names it.
+@pytest.mark.parametrize("queue", ["heap"])
 def test_call_soon_runs_after_events_already_due_now(queue):
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     fired = []
     sim.schedule(1.0, lambda: (fired.append("first"),
                                sim.call_soon(fired.append, "soon")))
@@ -88,107 +18,8 @@ def test_call_soon_runs_after_events_already_due_now(queue):
     assert fired == ["first", "second", "soon"]
 
 
-def test_wheel_orders_across_bucket_boundaries():
-    # Events straddling many buckets, scheduled out of order.
-    sim = Simulator(queue="wheel:0.01")
-    fired = []
-    for t in (0.095, 0.005, 0.350, 0.011, 0.0999, 0.010):
-        sim.at(t, fired.append, t)
-    sim.run()
-    assert fired == sorted(fired)
-
-
-# ------------------------------------------------- dead-entry accounting
-
-@pytest.mark.parametrize("queue", ["heap", "wheel"])
-def test_step_driven_runs_compact_too(queue):
-    # Satellite: step()/peek() used to pop cancelled heads without
-    # feeding the compaction pressure the run loop maintained.  The
-    # accounting now lives in the backend, shared by every pop path.
-    sim = Simulator(queue=queue)
-    keep = sim.schedule(2000.0, lambda: None)
-    handles = [sim.schedule(float(i + 1), lambda: None) for i in range(2000)]
-    for handle in handles:
-        handle.cancel()
-    assert sim.pending_count() == 1
-    assert len(sim._queue) <= COMPACT_MIN_SIZE + 1
-    assert sim.peek() == 2000.0  # peeking past dead heads keeps counts sane
-    assert sim.step()
-    assert keep.fired
-    assert not sim.step()
-    assert len(sim._queue) == 0
-
-
-@pytest.mark.parametrize("queue", ["heap", "wheel"])
-def test_peek_purges_dead_heads_without_losing_live_entries(queue):
-    sim = Simulator(queue=queue)
-    dead = sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None)
-    dead.cancel()
-    assert sim.peek() == 2.0
-    assert sim.pending_count() == 1
-    sim.run()
-    assert sim.events_fired == 1
-
-
-# ------------------------------------------------------------------ pooling
-
-@pytest.mark.parametrize("queue", ["heap", "wheel"])
-def test_timer_handles_are_recycled_through_the_free_list(queue):
-    sim = Simulator(queue=queue)
-    timer = Timer(sim, lambda: None)
-    timer.start(1.0)
-    sim.run(until=1.0)
-    assert len(sim._free) == 1
-    recycled = sim._free[0]
-    timer.start(1.0)
-    # The heap backend cannot rearm in place, so the fresh arming must
-    # have come from the free list; the wheel rearms a brand-new handle
-    # the same way.
-    assert timer._handle is recycled
-    assert timer._handle.pending
-    sim.run(until=5.0)
-    assert sim.events_fired == 2
-
-
-@pytest.mark.parametrize("queue", ["heap", "wheel"])
-def test_cancelled_pooled_handles_return_to_the_pool_once(queue):
-    sim = Simulator(queue=queue)
-    timer = Timer(sim, lambda: None)
-    for _ in range(5):
-        timer.start(1.0)
-        timer.stop()
-        sim.run(until=sim.now + 2.0)  # purge the dead entry
-    assert len(sim._free) <= 1  # the same object cycles; never duplicated
-    assert len(set(map(id, sim._free))) == len(sim._free)
-
-
-def test_plain_events_are_never_pooled():
-    sim = Simulator()
-    sim.schedule(1.0, lambda: None)
-    sim.run()
-    assert sim._free == []
-
-
-# ---------------------------------------------------------------- reschedule
-
-def test_wheel_rearm_reuses_the_live_handle_in_place():
-    sim = Simulator(queue="wheel")
-    timer = Timer(sim, lambda: None)
-    timer.start(1.0)
-    first = timer._handle
-    timer.start(4.0)  # rearm while pending: in-place reschedule
-    assert timer._handle is first
-    assert timer.expires_at == 4.0
-    assert sim.pending_count() == 1
-    fired_at = []
-    timer._callback = lambda: fired_at.append(sim.now)
-    sim.run()
-    assert fired_at == [4.0]
-
-
 def test_heap_rearm_falls_back_to_cancel_and_reschedule():
-    sim = Simulator(queue="heap")
+    sim = Simulator()
     timer = Timer(sim, lambda: None)
     timer.start(1.0)
     first = timer._handle
@@ -197,122 +28,3 @@ def test_heap_rearm_falls_back_to_cancel_and_reschedule():
     assert first.cancelled
     assert timer.expires_at == 4.0
     assert sim.pending_count() == 1
-
-
-def test_reschedule_rejects_foreign_or_spent_handles():
-    sim = Simulator(queue="wheel")
-    other = Simulator(queue="wheel")
-    handle = sim.schedule(1.0, lambda: None)
-    with pytest.raises(SimulationError):
-        other.reschedule(handle, 2.0)
-    handle.cancel()
-    with pytest.raises(SimulationError):
-        sim.reschedule(handle, 2.0)
-
-
-def test_reschedule_into_the_past_is_rejected():
-    sim = Simulator(queue="wheel")
-    sim.schedule(5.0, lambda: None)
-    sim.run(until=3.0)
-    handle = sim.schedule(4.0, lambda: None)
-    with pytest.raises(SimulationError):
-        sim.reschedule(handle, 1.0)
-
-
-def test_reschedule_survives_compaction_triggered_mid_call():
-    # Regression: reschedule() used to push the new entry and then run
-    # the compaction check while the handle still carried its OLD seq —
-    # a sweep firing at that instant kept the stale entry and dropped
-    # the fresh one, silently losing the event forever.
-    sim = Simulator(queue="wheel")
-    fired = []
-    moved = sim.schedule(10.0, fired.append, "moved")
-    chaff = [sim.schedule((i + 1) * 0.001, lambda: None) for i in range(1024)]
-    for handle in chaff[:513]:
-        handle.cancel()
-    # size=1025, live=512: the push inside reschedule() tips the queue
-    # past COMPACT_MIN_SIZE's half-live threshold, so the sweep runs
-    # mid-reschedule — exactly the window the old code got wrong.
-    assert len(sim._queue) == 1025
-    assert sim.pending_count() == 512
-    assert sim.reschedule(moved, 20.0)
-    assert moved.pending
-    sim.run()
-    assert fired == ["moved"]
-    assert sim.now == 20.0
-    assert sim.pending_count() == 0
-    assert sim.events_fired == 512  # 511 surviving chaff + the moved event
-
-
-def test_timer_rearm_survives_compaction_triggered_mid_call():
-    # Same window as above, but through the Timer rearm fast path that
-    # every MAC timeout restart exercises.
-    sim = Simulator(queue="wheel")
-    fired = []
-    timer = Timer(sim, lambda: fired.append(sim.now))
-    timer.start(10.0)
-    chaff = [sim.schedule((i + 1) * 0.001, lambda: None) for i in range(1024)]
-    for handle in chaff[:513]:
-        handle.cancel()
-    timer.start(20.0)  # in-place rearm; compaction fires mid-call
-    assert timer.running
-    sim.run()
-    assert fired == [20.0]
-    assert sim.pending_count() == 0
-
-
-@pytest.mark.parametrize("queue", ["heap", "wheel", "wheel:0.001"])
-def test_infinite_time_sentinel_works_on_every_backend(queue):
-    # The heap happily queues a sentinel at float('inf'); the wheel's
-    # bucket-key computation used to raise OverflowError on it, breaking
-    # the backends-are-interchangeable contract.
-    sim = Simulator(queue=queue)
-    fired = []
-    sentinel = sim.at(float("inf"), fired.append, "never")
-    sim.at(1.0, fired.append, "real")
-    sim.run(until=100.0)
-    assert fired == ["real"]
-    assert sim.pending_count() == 1
-    assert sim.peek() == float("inf")
-    sentinel.cancel()
-    assert sim.pending_count() == 0
-
-
-def test_wheel_huge_finite_time_with_tiny_width_is_parked_far_future():
-    # A finite time whose key computation overflows float range lands in
-    # the far bucket instead of crashing; ordering is still by time.
-    sim = Simulator(queue="wheel:0.001")
-    fired = []
-    sim.at(1e307, fired.append, "huge")
-    sim.at(float("inf"), fired.append, "inf")
-    sim.at(2.0, fired.append, "near")
-    sim.run(until=1e308)
-    assert fired == ["near", "huge"]
-    assert sim.pending_count() == 1
-
-
-def test_step_inside_run_is_rejected():
-    # run() batches events_fired in a local; a re-entrant step()'s direct
-    # increment would be clobbered by the write-back, so it must raise.
-    sim = Simulator()
-    caught = []
-    def probe():
-        with pytest.raises(SimulationError):
-            sim.step()
-        caught.append(True)
-    sim.schedule(1.0, probe)
-    sim.schedule(2.0, lambda: None)
-    sim.run()
-    assert caught == [True]
-    assert sim.events_fired == 2
-
-
-def test_wheel_stale_entries_never_fire():
-    sim = Simulator(queue="wheel")
-    fired = []
-    timer = Timer(sim, lambda: fired.append(sim.now))
-    for t in (1.0, 2.0, 3.0, 0.5):
-        timer.start(t)  # each rearm leaves a stale entry behind
-    sim.run(until=10.0)
-    assert fired == [0.5]  # only the last arming fires
-    assert sim.pending_count() == 0

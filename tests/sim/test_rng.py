@@ -66,26 +66,19 @@ def test_uniform_slots_degenerate_range():
     assert streams.uniform_slots("s", 3, 1) == 3
 
 
-def _crc32_colliding_pair():
-    """Brute-force two distinct names with equal crc32 (birthday bound)."""
-    import zlib
-
-    seen = {}
-    i = 0
-    while True:
-        name = f"s{i}"
-        key = zlib.crc32(name.encode("utf-8"))
-        if key in seen:
-            return seen[key], name
-        seen[key] = name
-        i += 1
+#: Two distinct stream names with equal crc32 (778778684): the first pair a
+#: brute-force search over ``f"s{i}"`` finds.
+CRC32_COLLIDING_PAIR = ("s29685295", "s32060020")
 
 
 def test_crc32_collision_raises_instead_of_sharing_a_seed():
+    import zlib
+
     import pytest
 
-    first, second = _crc32_colliding_pair()
+    first, second = CRC32_COLLIDING_PAIR
     assert first != second
+    assert zlib.crc32(first.encode("utf-8")) == zlib.crc32(second.encode("utf-8"))
 
     streams = RandomStreams(seed=42)
     streams.get(first)

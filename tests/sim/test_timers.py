@@ -39,6 +39,7 @@ def test_restart_cancels_previous_arming():
     timer, fired = make(sim)
     timer.start(1.0)
     timer.start(3.0)
+    assert sim.pending_count() == 1
     sim.run()
     assert fired == [3.0]
 

@@ -86,17 +86,17 @@ def test_fork_rejects_physics_knobs():
         fork(snap, builder, profile_changes={"timing": object()})
 
 
-def test_fork_swaps_forkable_queue_knob():
-    assert "queue" in FORKABLE_KNOBS
+def test_fork_swaps_forkable_trace_knob():
+    assert "trace" in FORKABLE_KNOBS
     snap, builder = make_snapshot()
-    reference = finish(fork(snap, builder))
-    wheeled = fork(snap, builder, profile_changes={"queue": "wheel"})
-    assert wheeled.sim.queue_name == "wheel"
-    assert finish(wheeled) == reference
+    events, _ = finish(fork(snap, builder))
+    untraced = fork(snap, builder, profile_changes={"trace": False})
+    assert not untraced.sim.trace.enabled
+    assert finish(untraced)[0] == events
 
 
 def test_fork_leaves_the_original_builder_untouched():
     snap, builder = make_snapshot()
     before = builder.profile
-    fork(snap, builder, profile_changes={"queue": "wheel"})
+    fork(snap, builder, profile_changes={"trace": False})
     assert builder.profile is before

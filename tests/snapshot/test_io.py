@@ -31,7 +31,7 @@ def test_save_load_roundtrip(tmp_path, snap):
     assert loaded.digest == snap.digest
     assert loaded.blob == snap.blob
     assert loaded.at == CAPTURE_AT
-    assert loaded.meta["queue"] == snap.meta["queue"]
+    assert loaded.meta["seed"] == snap.meta["seed"]
     assert loaded.meta["pending"] == snap.meta["pending"]
 
 

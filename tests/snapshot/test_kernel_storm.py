@@ -1,7 +1,7 @@
 """Randomized kernel-storm round-trips on bare simulators.
 
-A scripted storm of schedule/cancel/rearm churn (pooled handles, both
-queue backends) is captured at a mid-run boundary via the bare-kernel
+A scripted storm of schedule/cancel/rearm churn (pooled handles) is
+captured at a mid-run boundary via the bare-kernel
 API (:meth:`Snapshot.capture_sim` with a hand-built registry), restored
 into a fresh simulator, and the remaining firing log compared against an
 uninterrupted run — exercising handle pooling, compaction counters and
@@ -85,8 +85,8 @@ def make_script(seed):
     return script
 
 
-def make_storm(seed, queue):
-    sim = Simulator(seed=seed, queue=queue)
+def make_storm(seed):
+    sim = Simulator(seed=seed)
     recorder = StormRecorder()
     driver = StormDriver(sim, recorder, make_script(seed))
     sim.schedule(0.1, driver.churn, ROUNDS - 1)
@@ -105,17 +105,16 @@ def storm_registry(sim, driver, recorder):
 POLICIES = {"driver": (FULL, ()), "recorder": (FULL, ())}
 
 
-@pytest.mark.parametrize("queue", ["heap", "wheel"])
 @pytest.mark.parametrize("seed", [3, 11, 42])
-def test_storm_roundtrip(queue, seed):
-    straight_sim, _, straight_rec = make_storm(seed, queue)
+def test_storm_roundtrip(seed):
+    straight_sim, _, straight_rec = make_storm(seed)
     straight_sim.run(until=HORIZON)
     reference = (straight_sim.events_fired, straight_rec.log)
     assert straight_rec.log, "storm produced no events; test is vacuous"
 
     # Capture at a script-derived mid-run boundary (different per seed).
     capture_at = 5.0 + (seed % 7) * 2.5
-    halted_sim, halted_driver, halted_rec = make_storm(seed, queue)
+    halted_sim, halted_driver, halted_rec = make_storm(seed)
     halted_sim.run(until=capture_at)
     snap = Snapshot.capture_sim(
         halted_sim,
@@ -123,7 +122,7 @@ def test_storm_roundtrip(queue, seed):
         POLICIES,
     )
 
-    fresh_sim, fresh_driver, fresh_rec = make_storm(seed, queue)
+    fresh_sim, fresh_driver, fresh_rec = make_storm(seed)
     snap.restore_sim(
         fresh_sim,
         storm_registry(fresh_sim, fresh_driver, fresh_rec),
@@ -137,13 +136,14 @@ def test_storm_roundtrip(queue, seed):
 
 def test_storm_pending_order_survives_restore():
     """The remaining (time, priority, seq) entry order is preserved."""
-    sim, driver, rec = make_storm(7, "wheel")
+    sim, driver, rec = make_storm(7)
     sim.run(until=10.0)
-    pending = [entry[:3] for entry in sim._queue.live_entries()]
+    pending = sorted(entry[:3] for entry in sim._heap
+                     if not entry[3].cancelled)
     assert pending, "no pending events at the capture point"
     snap = Snapshot.capture_sim(sim, storm_registry(sim, driver, rec),
                                 POLICIES)
 
-    sim2, driver2, rec2 = make_storm(7, "heap")
+    sim2, driver2, rec2 = make_storm(7)
     snap.restore_sim(sim2, storm_registry(sim2, driver2, rec2), POLICIES)
-    assert [entry[:3] for entry in sim2._queue.live_entries()] == pending
+    assert [entry[:3] for entry in sim2._heap] == pending

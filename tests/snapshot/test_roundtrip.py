@@ -3,8 +3,8 @@
 The non-negotiable contract of ``repro.snapshot``: a scenario captured
 mid-run and restored into a fresh build from an equivalent builder must
 finish with byte-identical ``events_fired`` and ``Trace.digest()`` to an
-uninterrupted run — across protocols, event-queue backends and fault
-schedules, for multiple seeds.
+uninterrupted run — across protocols and fault schedules, for multiple
+seeds.
 """
 
 import pytest
@@ -18,10 +18,9 @@ CAPTURE_AT = 12.0
 SEEDS = (0, 1, 2)
 
 
-def build(protocol, queue, faulted, seed):
+def build(protocol, faulted, seed):
     builder = fig2_two_pads(protocol=protocol, seed=seed)
     builder.trace = True
-    builder.queue = queue
     if faulted:
         builder.faults = get_preset("flaky-links")
     return builder
@@ -36,44 +35,25 @@ def finish(scenario):
 @pytest.mark.parametrize("protocol", ["macaw", "maca", "csma"])
 def test_restore_equals_straight_through(protocol, faulted):
     for seed in SEEDS:
-        reference = finish(build(protocol, "heap", faulted, seed).build())
-        for queue in ("heap", "wheel"):
-            source = build(protocol, queue, faulted, seed)
-            halfway = source.build()
-            halfway.sim.run(until=CAPTURE_AT)
-            snap = Snapshot.capture(halfway, source)
+        reference = finish(build(protocol, faulted, seed).build())
+        source = build(protocol, faulted, seed)
+        halfway = source.build()
+        halfway.sim.run(until=CAPTURE_AT)
+        snap = Snapshot.capture(halfway, source)
 
-            target = build(protocol, queue, faulted, seed)
-            fresh = target.build()
-            snap.restore(fresh, target)
-            assert fresh.sim._now == CAPTURE_AT
-            assert finish(fresh) == reference, (
-                f"{protocol} seed={seed} queue={queue} "
-                f"faulted={faulted}: restored run diverged"
-            )
-
-
-@pytest.mark.parametrize("source_q,target_q",
-                         [("heap", "wheel"), ("wheel", "heap")])
-def test_cross_backend_restore(source_q, target_q):
-    """A heap capture restores into a wheel build (and vice versa)."""
-    reference = finish(build("macaw", "heap", True, 2).build())
-    source = build("macaw", source_q, True, 2)
-    halfway = source.build()
-    halfway.sim.run(until=CAPTURE_AT)
-    snap = Snapshot.capture(halfway, source)
-
-    target = build("macaw", target_q, True, 2)
-    fresh = target.build()
-    snap.restore(fresh, target)
-    assert fresh.sim.queue_name == target_q
-    assert finish(fresh) == reference
+        target = build(protocol, faulted, seed)
+        fresh = target.build()
+        snap.restore(fresh, target)
+        assert fresh.sim._now == CAPTURE_AT
+        assert finish(fresh) == reference, (
+            f"{protocol} seed={seed} faulted={faulted}: restored run diverged"
+        )
 
 
 def test_capture_is_a_noop_on_the_running_scenario():
     """Capture-then-continue fires the exact uninterrupted sequence."""
-    reference = finish(build("macaw", "heap", False, 0).build())
-    builder = build("macaw", "heap", False, 0)
+    reference = finish(build("macaw", False, 0).build())
+    builder = build("macaw", False, 0)
     scenario = builder.build()
     scenario.sim.run(until=CAPTURE_AT)
     Snapshot.capture(scenario, builder)
@@ -86,12 +66,12 @@ def test_recapture_after_restore_hashes_identically():
     (Two *cold* captures in one process differ: the event-seq and
     packet-uid watermarks are process-global and advance monotonically.)
     """
-    builder = build("macaw", "heap", False, 1)
+    builder = build("macaw", False, 1)
     scenario = builder.build()
     scenario.sim.run(until=CAPTURE_AT)
     first = Snapshot.capture(scenario, builder)
 
-    target = build("macaw", "heap", False, 1)
+    target = build("macaw", False, 1)
     fresh = target.build()
     first.restore(fresh, target)
     second = Snapshot.capture(fresh, target)
@@ -99,7 +79,7 @@ def test_recapture_after_restore_hashes_identically():
 
 
 def test_capture_rejects_running_kernel():
-    builder = build("macaw", "heap", False, 0)
+    builder = build("macaw", False, 0)
     scenario = builder.build()
     boom = {}
 

@@ -1,22 +1,23 @@
-"""Shared fixture: a test-only queue backend that injects a divergence.
+"""Shared fixture: a test-only monkeypatch that injects a divergence.
 
-``late-shift`` behaves exactly like the stock heap except that every
-event scheduled past :data:`PERTURB_TRIGGER_S` lands
-:data:`PERTURB_EPS_S` late.  The perturbation is deterministic (a pure
-function of the push sequence) and horizon-prefix-stable (it depends
-only on the executed prefix, never on the total horizon), so a clean
-backend and this one share a byte-identical record prefix and then part
-ways at the first post-trigger event — exactly the synthetic divergence
-the bisector must localize.
+While ``perturb_mode`` is active, every event that a simulator with a
+clock observer attached schedules past :data:`PERTURB_TRIGGER_S` lands
+:data:`PERTURB_EPS_S` late.  Only the metrics sampler attaches a clock
+observer, so of the execution modes exactly ``ExecMode(metrics=True)``
+is perturbed when it runs in-process.  The perturbation is deterministic
+(a pure function of the scheduling sequence) and horizon-prefix-stable
+(it depends only on the executed prefix, never on the total horizon),
+so a clean mode and the perturbed one share a byte-identical record
+prefix and then part ways at the first post-trigger event — exactly the
+synthetic divergence the bisector must localize.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.events import EventHandle
-from repro.sim.queues import QUEUE_BACKENDS
-from repro.sim.queues.heap import HeapQueue
+from repro.sim.kernel import Simulator
+from repro.verify.diff.modes import ExecMode
 
 #: Events scheduled strictly after this simulated time get delayed.
 PERTURB_TRIGGER_S = 3.0
@@ -25,26 +26,21 @@ PERTURB_TRIGGER_S = 3.0
 PERTURB_EPS_S = 0.25
 
 
-class LateShiftQueue(HeapQueue):
-    """Heap clone that delays every post-trigger event by a fixed eps."""
-
-    name = "late-shift"
-
-    def push(self, time: float, priority: int, seq: int,
-             handle: EventHandle) -> None:
-        if time > PERTURB_TRIGGER_S:
-            time = time + PERTURB_EPS_S
-            # The kernel reads the fire time back off the handle, so the
-            # entry key and the handle must stay consistent.
-            handle.time = time
-        super().push(time, priority, seq, handle)
-
-
 @pytest.fixture
-def perturb_queue():
-    """Register the perturbing backend for one test; always deregister."""
-    QUEUE_BACKENDS["late-shift"] = LateShiftQueue
-    try:
-        yield "late-shift"
-    finally:
-        QUEUE_BACKENDS.pop("late-shift", None)
+def perturb_mode(monkeypatch) -> ExecMode:
+    """Delay observed simulators' post-trigger events; returns the mode."""
+    at, schedule = Simulator.at, Simulator.schedule
+
+    def late_at(self, time, callback, *args, priority=0, pooled=False):
+        if self._observer is not None and time > PERTURB_TRIGGER_S:
+            time += PERTURB_EPS_S
+        return at(self, time, callback, *args, priority=priority, pooled=pooled)
+
+    def late_schedule(self, delay, callback, *args, pooled=False):
+        if self._observer is not None and self.now + delay > PERTURB_TRIGGER_S:
+            delay += PERTURB_EPS_S
+        return schedule(self, delay, callback, *args, pooled=pooled)
+
+    monkeypatch.setattr(Simulator, "at", late_at)
+    monkeypatch.setattr(Simulator, "schedule", late_schedule)
+    return ExecMode(metrics=True)

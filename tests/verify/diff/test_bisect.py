@@ -1,9 +1,9 @@
-"""Satellite: the bisector pins an injected single-backend divergence.
+"""The bisector pins an injected single-mode divergence.
 
-The ``late-shift`` backend (see conftest) delays every event scheduled
-past a trigger time, so a heap run and a late-shift run of the same
-scenario share a byte-identical record prefix and then part ways at the
-clean run's first post-trigger event.  These tests prove the bisector
+The ``perturb_mode`` fixture (see conftest) delays every event the
+metrics mode schedules past a trigger time, so a plain run and a
+metrics run of the same scenario share a byte-identical record prefix
+and then part ways at the clean run's first post-trigger event.  These tests prove the bisector
 localizes exactly that record — against a reference answer computed the
 expensive way, from two full traced runs — and that the repro JSON it
 emits replays standalone to the same spot.
@@ -33,21 +33,21 @@ def _case() -> FuzzScenario:
     )
 
 
-def _oracle(perturb_queue: str) -> ScenarioOracle:
-    return ScenarioOracle(modes=[ExecMode(), ExecMode(queue=perturb_queue)])
+def _oracle(perturb_mode: ExecMode) -> ScenarioOracle:
+    return ScenarioOracle(modes=[ExecMode(), perturb_mode])
 
 
-def test_oracle_flags_the_perturbed_backend(perturb_queue):
-    divergence = _oracle(perturb_queue).check(_case())
+def test_oracle_flags_the_perturbed_mode(perturb_mode):
+    divergence = _oracle(perturb_mode).check(_case())
     assert divergence is not None
-    assert divergence.mode_a.queue == "heap"
-    assert divergence.mode_b.queue == perturb_queue
+    assert divergence.mode_a == ExecMode()
+    assert divergence.mode_b == perturb_mode
     assert divergence.digest_a != divergence.digest_b
 
 
-def test_bisector_pins_the_exact_first_divergent_record(perturb_queue):
+def test_bisector_pins_the_exact_first_divergent_record(perturb_mode):
     case = _case()
-    oracle = _oracle(perturb_queue)
+    oracle = _oracle(perturb_mode)
     clean_mode, shifted_mode = oracle.modes
 
     # Reference answer: two full traced runs, first index where they part.
@@ -78,8 +78,8 @@ def test_bisector_pins_the_exact_first_divergent_record(perturb_queue):
     assert 0 < point.probes <= 48
 
 
-def test_bisector_returns_none_when_runs_agree(perturb_queue):
-    oracle = ScenarioOracle(modes=[ExecMode(), ExecMode(queue="wheel")])
+def test_bisector_returns_none_when_runs_agree():
+    oracle = ScenarioOracle(modes=[ExecMode(), ExecMode(metrics=True)])
     case = _case()
     point = locate_first_divergence(
         oracle.replayer(case, oracle.modes[0]),
@@ -89,9 +89,9 @@ def test_bisector_returns_none_when_runs_agree(perturb_queue):
     assert point is None
 
 
-def test_repro_json_replays_to_the_same_event(tmp_path, perturb_queue):
+def test_repro_json_replays_to_the_same_event(tmp_path, perturb_mode):
     case = _case()
-    oracle = _oracle(perturb_queue)
+    oracle = _oracle(perturb_mode)
     divergence = oracle.check(case)
     assert divergence is not None
     point = locate_first_divergence(

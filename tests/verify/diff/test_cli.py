@@ -9,11 +9,6 @@ def test_diff_unknown_experiment_exits_2(capsys):
     assert "no-such-experiment" in capsys.readouterr().err
 
 
-def test_diff_unknown_queue_exits_2(capsys):
-    assert main_diff(["table2", "--queues", "bogus"]) == 2
-    assert "bogus" in capsys.readouterr().err
-
-
 def test_fuzz_bad_seed_exits_2(capsys):
     assert main_fuzz(["--seed", "nope"]) == 2
     assert "from-run-id" in capsys.readouterr().err
@@ -39,11 +34,10 @@ def test_fuzz_seed_from_run_id(monkeypatch, capsys):
     assert "seed 123" in capsys.readouterr().out
 
 
-def test_diff_cli_localizes_and_writes_repro(tmp_path, perturb_queue, capsys):
+def test_diff_cli_localizes_and_writes_repro(tmp_path, perturb_mode, capsys):
     out = tmp_path / "repro.json"
     code = main_diff([
-        "table2", "--duration", "6", "--warmup", "1",
-        "--queues", f"heap,{perturb_queue}", "--out", str(out),
+        "table2", "--duration", "6", "--warmup", "1", "--out", str(out),
     ])
     assert code == 1
     captured = capsys.readouterr()
@@ -53,6 +47,6 @@ def test_diff_cli_localizes_and_writes_repro(tmp_path, perturb_queue, capsys):
     payload = load_repro(str(out))
     assert payload["kind"] == "experiment"
     assert payload["exp_id"] == "table2"
-    assert payload["mode_b"]["queue"] == perturb_queue
+    assert payload["mode_b"] == perturb_mode.to_dict()
     assert payload["divergence"]["event_index"] >= 0
     assert payload["divergence"]["record_a"] != payload["divergence"]["record_b"]

@@ -75,8 +75,8 @@ def test_shrink_respects_the_probe_budget():
     assert len(calls) == 2
 
 
-def test_run_fuzz_finds_shrinks_and_localizes(perturb_queue):
-    modes = [ExecMode(), ExecMode(queue=perturb_queue)]
+def test_run_fuzz_finds_shrinks_and_localizes(perturb_mode):
+    modes = [ExecMode(), perturb_mode]
     failure = run_fuzz(budget=1, seed=0, duration=6.0, modes=modes)
     assert failure is not None
     assert failure.index == 0
@@ -95,10 +95,10 @@ def test_run_fuzz_finds_shrinks_and_localizes(perturb_queue):
     assert failure.point.time > 0.0
     assert failure.repro["kind"] == "scenario"
     assert failure.repro["divergence"]["event_index"] == failure.point.event_index
-    assert failure.repro["mode_b"]["queue"] == perturb_queue
+    assert failure.repro["mode_b"] == perturb_mode.to_dict()
 
 
 def test_run_fuzz_clean_budget_returns_none():
     failure = run_fuzz(budget=2, seed=11, duration=4.0,
-                       modes=[ExecMode(), ExecMode(queue="wheel")])
+                       modes=[ExecMode(), ExecMode(metrics=True)])
     assert failure is None

@@ -1,4 +1,4 @@
-"""The oracle passes clean on stock backends, at both granularities."""
+"""The oracle passes clean on the stock modes, at both granularities."""
 
 import pytest
 
@@ -16,8 +16,8 @@ def _case() -> FuzzScenario:
 
 
 def test_scenario_oracle_mode_matrix_clean_on_stock_backends():
-    # Covers every axis: wheel queue, a pool worker, a genuine snapshot
-    # capture/restore roundtrip, and metrics collection.
+    # Covers every axis: a pool worker, a genuine snapshot capture/restore
+    # roundtrip, and metrics collection.
     oracle = ScenarioOracle(modes=default_matrix())
     assert oracle.check(_case()) is None
 
@@ -26,7 +26,7 @@ def test_scenario_oracle_digest_is_horizon_prefix_stable():
     # The property bisection rests on: stopping early never changes the
     # records already emitted, so a short run's digest only depends on
     # the horizon, not on how far the run would have continued.
-    oracle = ScenarioOracle(modes=[ExecMode(), ExecMode(queue="wheel")])
+    oracle = ScenarioOracle(modes=[ExecMode(), ExecMode(metrics=True)])
     case = _case()
     half_a = oracle.run_case(case, oracle.modes[0], horizon=3.0, traced=True)
     half_b = oracle.run_case(case, oracle.modes[1], horizon=3.0, traced=True)
