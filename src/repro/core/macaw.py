@@ -770,14 +770,17 @@ class MacawMac(BaseMac):
     # ============================================================ helpers
     def _set_state(self, state: MacState) -> None:
         if state is not self.state:
+            # ``_value_`` is the member's plain attribute; ``.value`` is a
+            # descriptor call on every transition.
             trace = self.sim.trace
             if trace.enabled:
                 trace.record(
-                    self.sim.now, "state", self.name, frm=self.state.value, to=state.value
+                    self.sim.now, "state", self.name,
+                    frm=self.state._value_, to=state._value_,
                 )
             probe = self.probe
             if probe is not None:
-                probe.note_state(self.state.value, state.value, self.sim.now)
+                probe.note_state(self.state._value_, state._value_, self.sim.now)
             self.state = state
         if state is not MacState.CONTEND:
             self._contend_timer.stop()

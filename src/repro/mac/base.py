@@ -175,7 +175,7 @@ class BaseMac(ReceiverPort):
             self.sim.trace.record(
                 self.sim.now, "send", self.name,
                 frame=frame.describe(),
-                kind=frame.kind.value,
+                kind=frame.kind._value_,
                 src=frame.src,
                 dst=frame.dst,
                 esn=frame.esn,

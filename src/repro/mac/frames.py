@@ -113,7 +113,7 @@ class Frame:
 
     def describe(self) -> str:
         """Compact human-readable form for traces: 'RTS A→B esn=3'."""
-        out = f"{self.kind.value} {self.src}→{self.dst}"
+        out = f"{self.kind._value_} {self.src}→{self.dst}"
         if self.esn is not None:
             out += f" esn={self.esn}"
         if self.retry:

@@ -382,6 +382,13 @@ class Medium:
             del self._transmitting[tx.sender]
         trace = self.sim.trace
         record = trace.enabled
+        if record:
+            # One rendering per transmission, shared by every receiver's
+            # record.
+            frame = tx.frame
+            described = frame.describe()
+            kind = frame.kind._value_
+            src, dst, esn, size = frame.src, frame.dst, frame.esn, frame.size_bytes
         carrier_count = self._carrier_count
         now = self.sim.now
         noise = bool(self._noise_models)
@@ -401,13 +408,8 @@ class Medium:
             if record:
                 trace.record(
                     now, "recv", port.name,
-                    frame=tx.frame.describe(),
-                    kind=tx.frame.kind.value,
-                    src=tx.frame.src,
-                    dst=tx.frame.dst,
-                    esn=tx.frame.esn,
-                    size=tx.frame.size_bytes,
-                    clean=clean,
+                    frame=described, kind=kind, src=src, dst=dst, esn=esn,
+                    size=size, clean=clean,
                 )
             port.on_frame(tx.frame, clean)
         # A powered-off radio does not observe its own transmit completion

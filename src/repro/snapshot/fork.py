@@ -3,14 +3,16 @@
 A fork builds a fresh scenario from (a clone of) the original builder,
 restores the snapshot into it, then perturbs exactly the state the
 caller names: designated RNG substreams are re-seeded from a
-salt-derived :class:`~numpy.random.SeedSequence`, and a restricted set
-of *non-physics* profile knobs may be swapped.  Physics knobs (timing,
-bitrate, topology, faults) are deliberately rejected — changing them
-would make the captured in-flight state (transmissions mid-air, armed
-timeouts) physically inconsistent with the world it restores into.
-Branch points that vary physics should snapshot before the divergence
-is *installed*, i.e. vary the builder and warm-start each variant
-separately.
+salt-derived :class:`~numpy.random.SeedSequence`, and the ``trace``
+profile knob may be swapped.  Physics knobs (timing, bitrate, topology,
+faults) are deliberately rejected — changing them would make the
+captured in-flight state (transmissions mid-air, armed timeouts)
+physically inconsistent with the world it restores into.  So are the
+build-time instrumentation knobs ``sanitize`` and ``metrics``: the
+restore overwrites the one, and the snapshot holds no sampler state for
+the other.  Branch points that vary physics should snapshot before the
+divergence is *installed*, i.e. vary the builder and warm-start each
+variant separately.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from repro.snapshot.snapshot import Snapshot
 
 __all__ = ["fork", "FORKABLE_KNOBS"]
 
-#: Profile fields a fork may swap at the branch point.  Everything else
-#: changes the physics the captured state was produced under.
-FORKABLE_KNOBS = frozenset({"trace", "sanitize", "metrics"})
+#: Profile fields a fork may swap at the branch point (the module
+#: docstring says why every other knob is refused).
+FORKABLE_KNOBS = frozenset({"trace"})
 
 #: Domain-separation constant so fork re-seeds can never collide with
 #: RandomStreams' own (seed, crc32(name)) derivation.
@@ -63,9 +65,9 @@ def fork(snapshot: Snapshot, builder: Any, *, salt: int = 0,
     bad = sorted(set(changes) - FORKABLE_KNOBS)
     if bad:
         raise SnapshotError(
-            f"fork cannot change physics knobs {bad!r}; forkable knobs "
-            f"are {sorted(FORKABLE_KNOBS)!r} — vary the builder and "
-            "warm-start separately instead")
+            f"fork cannot change physics or build-time knobs {bad!r}; "
+            f"forkable knobs are {sorted(FORKABLE_KNOBS)!r} — vary the "
+            "builder and warm-start separately instead")
     clone = copy.copy(builder)
     clone.profile = builder.profile.but(warm_start=None, **changes)
     scenario = clone.build()

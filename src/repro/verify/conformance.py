@@ -36,6 +36,13 @@ dialogue rules of the paper, reporting every deviation as a
 Stations running MACs without the RTS-CTS dialogue (CSMA, polling) are
 checked only for the protocol-independent invariants (clock monotonicity
 and transmission overlap).
+
+The replay is one pass over the records.  A station's profile, statechart
+and dialogue state are resolved when it first appears and kept on one
+per-station object; each record then dispatches on its category, and a
+``recv`` record only enters the dialogue when it is clean and addressed
+to the recording station.  Sanitized sweeps replay every trace they
+write, so this pass is on the hot path of every hooks-on run.
 """
 
 from __future__ import annotations
@@ -146,9 +153,16 @@ def profile_for_mac(mac: Any) -> StationProfile:
 
 
 class _DialogueState:
-    """Mutable per-station bookkeeping while replaying a trace."""
+    """Mutable per-station bookkeeping while replaying a trace.
+
+    Also holds the station's profile and statechart, resolved once when
+    the station first appears rather than on every record.
+    """
 
     __slots__ = (
+        "profile",
+        "chart",
+        "initial",
         "state",
         "pending_rts",
         "pending_ds",
@@ -160,8 +174,13 @@ class _DialogueState:
         "max_data_esn",
     )
 
-    def __init__(self, initial: str) -> None:
-        self.state = initial
+    def __init__(self, profile: Optional[StationProfile]) -> None:
+        self.profile = profile
+        chart = profile.statechart if profile is not None else None
+        #: None for stations without a profile or a dialogue statechart.
+        self.chart: Optional[Statechart] = chart
+        self.initial = chart.initial if chart is not None else "IDLE"
+        self.state = self.initial
         #: Clean, unanswered RTS per peer: peer -> esn (None allowed).
         self.pending_rts: Dict[str, Optional[int]] = {}
         #: DS announced but DATA not yet sent, per peer: peer -> esn.
@@ -190,52 +209,58 @@ def check_trace(
     Stations appearing in the trace without a profile are treated like
     non-dialogue MACs (invariant checks only).  ``bitrate_bps`` converts
     frame sizes to airtime for the overlap check.
+
+    Each station's profile, statechart and dialogue state are resolved
+    once, on its first record; records then dispatch on their category.
     """
     report = ConformanceReport()
+    examined = report.examined
     states: Dict[str, _DialogueState] = {}
     last_time = float("-inf")
 
-    def dialogue(name: str) -> _DialogueState:
-        entry = states.get(name)
-        if entry is None:
-            profile = profiles.get(name)
-            initial = (
-                profile.statechart.initial
-                if profile is not None and profile.statechart is not None
-                else "IDLE"
-            )
-            entry = _DialogueState(initial)
-            states[name] = entry
-        return entry
-
     for record in trace:
-        report.examined[record.category] = report.examined.get(record.category, 0) + 1  # repro-lint: allow=REPRO107 (sanitizer tally)
-        if record.time < last_time - _EPS:
+        time, category, station, detail = record
+        examined[category] = examined.get(category, 0) + 1  # repro-lint: allow=REPRO107 (sanitizer tally)
+        if time < last_time - _EPS:
             report.violations.append(Violation(
-                "non-monotonic-clock", record.time, record.station,
-                f"clock moved backwards ({last_time:.9f} -> {record.time:.9f})",
+                "non-monotonic-clock", time, station,
+                f"clock moved backwards ({last_time:.9f} -> {time:.9f})",
             ))
-        last_time = max(last_time, record.time)
+        if time > last_time:
+            last_time = time
 
-        profile = profiles.get(record.station)
-        if record.category == "state":
-            _check_state(record, profile, dialogue(record.station), report)
-        elif record.category == "send":
-            _check_send(record, profile, dialogue(record.station), report, bitrate_bps)
-        elif record.category == "recv":
-            _note_recv(record, profile, dialogue(record.station))
-        elif record.category == "power":
+        entry = states.get(station)
+        if entry is None:
+            entry = states[station] = _DialogueState(profiles.get(station))
+        if category == "state":
+            frm = detail.get("frm", "")
+            to = detail.get("to", "")
+            if type(frm) is not str:
+                frm = str(frm)
+            if type(to) is not str:
+                to = str(to)
+            chart = entry.chart
+            if chart is not None and not (
+                frm == entry.state
+                and (frm, to) in chart.transitions
+                and frm in chart.states
+                and to in chart.states
+            ):
+                _report_transition(record, frm, to, entry, report)
+            entry.state = to
+        elif category == "recv":
+            if detail.get("clean", False):
+                dst = detail.get("dst", "")
+                if (dst if type(dst) is str else str(dst)) == station:
+                    _note_recv(detail, entry)
+        elif category == "send":
+            _check_send(record, entry, report, bitrate_bps)
+        elif category == "power":
             # A power cycle (Figure 9, fault-injection churn) reboots the
             # radio into its statechart's initial state and forgets any
             # half-open dialogue; replay must do the same or the next
             # transition reads as a trace gap.
-            initial = (
-                profile.statechart.initial
-                if profile is not None and profile.statechart is not None
-                else "IDLE"
-            )
-            entry = dialogue(record.station)
-            entry.state = initial
+            entry.state = entry.initial
             entry.pending_rts.clear()
             entry.pending_ds.clear()
             entry.pending_data_esn.clear()
@@ -244,18 +269,17 @@ def check_trace(
     return report
 
 
-def _check_state(
+def _report_transition(
     record: TraceRecord,
-    profile: Optional[StationProfile],
+    frm: str,
+    to: str,
     entry: _DialogueState,
     report: ConformanceReport,
 ) -> None:
-    frm = str(record.detail.get("frm", ""))
-    to = str(record.detail.get("to", ""))
-    if profile is None or profile.statechart is None:
-        entry.state = to
-        return
-    chart = profile.statechart
+    """Report a state record that is not a legal transition from the
+    tracked state (the caller then moves the station to ``to``)."""
+    chart = entry.chart
+    assert chart is not None  # only called for stations with a statechart
     for state in (frm, to):
         if state not in chart:
             report.violations.append(Violation(
@@ -273,19 +297,19 @@ def _check_state(
             "illegal-transition", record.time, record.station,
             f"{frm} -> {to} is not a legal {chart.name} transition",
         ))
-    entry.state = to
 
 
 def _check_send(
     record: TraceRecord,
-    profile: Optional[StationProfile],
     entry: _DialogueState,
     report: ConformanceReport,
     bitrate_bps: float,
 ) -> None:
     detail = record.detail
     kind = detail.get("kind")
-    dst = str(detail.get("dst", ""))
+    dst = detail.get("dst", "")
+    if type(dst) is not str:
+        dst = str(dst)
     esn = detail.get("esn")
     size = detail.get("size")
 
@@ -299,7 +323,8 @@ def _check_send(
     if isinstance(size, (int, float)) and size > 0:
         entry.tx_end = record.time + (float(size) * 8.0) / bitrate_bps
 
-    if profile is None or profile.statechart is None or kind is None:
+    profile = entry.profile
+    if profile is None or entry.chart is None or kind is None:
         return
 
     if kind == "CTS":
@@ -374,16 +399,8 @@ def _check_ack(
         ))
 
 
-def _note_recv(
-    record: TraceRecord,
-    profile: Optional[StationProfile],
-    entry: _DialogueState,
-) -> None:
-    detail = record.detail
-    if not detail.get("clean", False):
-        return
-    if str(detail.get("dst", "")) != record.station:
-        return  # overheard or multicast: not part of this station's dialogue
+def _note_recv(detail: Mapping[str, Any], entry: _DialogueState) -> None:
+    """A clean frame addressed to this station: track its dialogue."""
     kind = detail.get("kind")
     src = str(detail.get("src", ""))
     esn = detail.get("esn")

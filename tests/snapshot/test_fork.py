@@ -100,3 +100,21 @@ def test_fork_leaves_the_original_builder_untouched():
     before = builder.profile
     fork(snap, builder, profile_changes={"trace": False})
     assert builder.profile is before
+
+
+def test_fork_refuses_the_sanitize_knob():
+    # A restore overwrites the fork's sanitize flag with the captured one,
+    # so a swap would be silently ignored; it is refused instead.
+    assert "sanitize" not in FORKABLE_KNOBS
+    snap, builder = make_snapshot()
+    with pytest.raises(SnapshotError, match="forkable knobs are \\['trace'\\]"):
+        fork(snap, builder, profile_changes={"sanitize": True})
+
+
+def test_fork_refuses_the_metrics_knob():
+    # The snapshot holds no sampler state to restore a swapped-on sampler
+    # into; the refusal names the knob instead of a missing registry entry.
+    assert "metrics" not in FORKABLE_KNOBS
+    snap, builder = make_snapshot()
+    with pytest.raises(SnapshotError, match="'metrics'"):
+        fork(snap, builder, profile_changes={"metrics": 1.0})
